@@ -46,9 +46,9 @@ FAST_PATH = {
     "cache-kernel-backends": ("backends", "array"),
     "end-to-end-simulator": ("paths", "compiled"),
     "mrc-sweep": ("paths", "mrc"),
-    # Decorated stacks are scalar by design; the gated quantity is the
-    # vc stack's refs/sec (slowest-common mechanism path) so the scalar
-    # protocol can't quietly regress.
+    # Decorated stacks walk their cache's miss stream in Python; the
+    # gated quantity is the vc stack's refs/sec on the array kernel so
+    # that path can't quietly regress.
     "mechanism-stacks": ("stacks", "vc"),
     # The interleaved multi-core path carries the shared-port protocol
     # and the shadow classifier on its hot loop; the solo path inside

@@ -15,7 +15,6 @@ from repro.cache.policies import ReplacementPolicy
 from repro.cache.kernels import KERNEL_BACKENDS, resolve_backend
 from repro.cache.components import (
     CacheComponent,
-    LineOutcome,
     MissCache,
     Pipeline,
     StreamBuffers,
@@ -34,7 +33,6 @@ __all__ = [
     "CacheStats",
     "CacheComponent",
     "AccessResult",
-    "LineOutcome",
     "MechanismSpec",
     "ReplacementPolicy",
     "KERNEL_BACKENDS",
@@ -71,11 +69,10 @@ def make_cache(
 
     ``config.mechanisms`` wraps the built stack (outermost component
     last-listed) in the requested miss-reduction decorators — see
-    :mod:`repro.cache.components`. Decorated stacks need the per-line
-    victim protocol, which only the reference kernel's state exposes, so
-    ``backend="array"``/``"auto"`` silently fall back to ``reference``
-    until a flat decorated path exists (the dispatch tests pin this).
-    An empty ``mechanisms`` tuple builds exactly the undecorated model.
+    :mod:`repro.cache.components`. The wrapped set-associative stack
+    runs on ``backend`` like any other: decorators ask its kernels for
+    per-miss victims, which every backend reports. An empty
+    ``mechanisms`` tuple builds exactly the undecorated model.
     """
     backend = resolve_backend(backend if backend is not None else config.backend)
     if config.mechanisms:
@@ -88,9 +85,9 @@ def make_cache(
                 "stack — `repro mechanisms` sweeps those exactly"
             )
         base: CacheModel = (
-            TwoLevelCache(l1_config, config, backend="reference", seed=seed)
+            TwoLevelCache(l1_config, config, backend=backend, seed=seed)
             if l1_config is not None
-            else SetAssociativeCache(config, seed=seed, backend="reference")
+            else SetAssociativeCache(config, seed=seed, backend=backend)
         )
         return wrap_mechanisms(base, config.mechanisms)
     if l1_config is not None:

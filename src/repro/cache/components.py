@@ -6,13 +6,11 @@ objects each classic miss-reduction mechanism rescues (ROADMAP item 4,
 mirroring the VC/MC/SB experimental design in SNIPPETS.md #3):
 
 * :class:`CacheComponent` — the component protocol. On top of the
-  chunked :class:`~repro.cache.base.CacheModel` interface it adds a
-  *scalar* per-line path (``begin_stage`` / ``access_line`` /
-  ``commit_stage``) plus stats-free state capture
-  (``state_snapshot``/``state_restore``). The scalar path exists because
-  decorators need each reference's *eviction victim* from the component
-  they wrap — information the chunked kernel interface deliberately does
-  not expose;
+  chunked :class:`~repro.cache.base.CacheModel` interface it adds staged
+  ledgers (``begin_stage`` / ``commit_stage``), the unrecorded chunked
+  classification ``_chunk_access`` — which, asked for ``victims``, also
+  reports the line each miss evicted — and stats-free state capture
+  (``state_snapshot``/``state_restore``);
 * :class:`Pipeline` — a generic N-level filtering hierarchy
   (:class:`~repro.cache.hierarchy.TwoLevelCache` is its two-level
   specialisation and stays bit-identical to the pre-refactor model);
@@ -44,38 +42,30 @@ Mechanism semantics (Jouppi 1990, adapted to this code base's model):
   Every rescued line was prefetched earlier (``sb_hits`` can never
   exceed ``sb_prefetches``).
 
-Decorated stacks run on the reference kernel only (``make_cache`` forces
-the backend; there is no flat/vectorised path for decorators yet), and
-the scalar loop stops *exactly* at the budget-th post-mechanism miss —
-the same interrupt-precision contract the chunked models honour.
+Every decorator applies the inner fill before it acts, so the wrapped
+component evolves the same with or without it. A decorator therefore
+runs the wrapped component chunk-wise on any kernel backend, with
+``victims=True``, and walks only the inner misses and their victims
+through its own small buffer. The walk stops *exactly* at the
+``miss_budget``-th post-mechanism miss; the wrapped component is then
+rolled back to a snapshot and re-run over the consumed prefix, as
+:class:`Pipeline` does for its upper levels.
 """
 
 from __future__ import annotations
 
 import abc
-from typing import NamedTuple
 
 import numpy as np
 
 from repro import sanitize
 from repro.cache.base import AccessResult, CacheModel, CacheStats
 from repro.cache.config import CacheConfig, MechanismSpec, parse_mechanisms
-from repro.cache.kernels.base import KernelResult
+from repro.cache.kernels.base import KernelResult, empty_result
 from repro.errors import CacheConfigError
 
-
-class LineOutcome(NamedTuple):
-    """Result of pushing one line through a component's scalar path.
-
-    ``evicted`` is the line number that left the component's *total*
-    storage because of this access (None when nothing did) — the handle
-    decorators use to capture victims. A victim-cache rescue reports
-    ``evicted=None``: the inner victim moved into the VC slot the hit
-    freed, so nothing left the decorated component as a whole.
-    """
-
-    miss: bool
-    evicted: int | None
+#: References in a decorator's first window under a small miss budget.
+_FIRST_WINDOW = 256
 
 
 class CacheComponent(CacheModel):
@@ -84,34 +74,32 @@ class CacheComponent(CacheModel):
     Besides the chunked :meth:`~repro.cache.base.CacheModel.access`, a
     component exposes:
 
-    * a **staged** scalar path — :meth:`begin_stage` resets per-chunk
-      event counters, :meth:`access_line` applies one line reference and
-      reports the victim, :meth:`commit_stage` records the staged counts
-      into :attr:`stats` under a tag (cascading to wrapped components),
+    * **staged** ledgers — :meth:`begin_stage` resets per-chunk event
+      counters, :meth:`commit_stage` records the staged counts into
+      :attr:`stats` under a tag (cascading to wrapped components),
       keeping every counter movement inside ``CacheStats.record``
       (RPL401);
     * ``_chunk_access`` — the chunked classification *without* stats
       recording, so compositions control when and with what access
-      totals each ledger is committed;
+      totals each ledger is committed: calls add to the staged counts
+      until the next :meth:`begin_stage`. ``victims=True`` also returns
+      the line each miss evicted from the component as a whole (see
+      :class:`~repro.cache.kernels.base.KernelResult`) and puts every
+      kernel inside on the refill-on-empty RANDOM draw rule, which
+      changes RANDOM evictions (see
+      :meth:`~repro.cache.kernels.base.SetKernel.access`): a component
+      gets either only ``victims=True`` calls or none;
     * :meth:`state_snapshot`/:meth:`state_restore` — stats-free state
       capture used for exact ``miss_budget`` rollback.
     """
-
-    # ------------------------------------------------------------ scalar
 
     @abc.abstractmethod
     def begin_stage(self) -> None:
         """Zero the staged per-chunk counters (cascades to inner)."""
 
     @abc.abstractmethod
-    def access_line(self, line: int, write: bool = False) -> LineOutcome:
-        """Apply one line reference; report miss status and the victim."""
-
-    @abc.abstractmethod
     def commit_stage(self, tag: str, accesses: int) -> None:
         """Record staged counts into :attr:`stats` (cascades to inner)."""
-
-    # ----------------------------------------------------------- chunked
 
     @abc.abstractmethod
     def _chunk_access(
@@ -119,8 +107,12 @@ class CacheComponent(CacheModel):
         addrs: np.ndarray,
         miss_budget: int | None = None,
         writes: np.ndarray | None = None,
+        victims: bool = False,
     ) -> KernelResult:
-        """Classify a chunk, staging (not recording) event counts."""
+        """Classify a chunk, staging (not recording) event counts.
+
+        ``victims=True`` reports per-miss victims *and* selects the
+        refill-on-empty RANDOM draw rule (see the class notes)."""
 
     # ------------------------------------------------------------- state
 
@@ -142,11 +134,11 @@ class CacheComponent(CacheModel):
 class MechanismDecorator(CacheComponent):
     """Base class for miss-reduction decorators wrapping a component.
 
-    The decorator drives the wrapped component through the scalar path
-    one line at a time, rescuing (or confirming) each inner miss. Its
-    ``access`` therefore reports the *post-mechanism* miss stream — what
-    a memory-side hardware counter would see — and honours
-    ``miss_budget`` against exactly that stream.
+    The decorator runs the wrapped component chunk-wise and walks its
+    misses, rescuing (or confirming) each one. Its ``access`` therefore
+    reports the *post-mechanism* miss stream — what a memory-side
+    hardware counter would see — and honours ``miss_budget`` against
+    exactly that stream.
     """
 
     #: Mechanism kind tag ("vc", "mc", "sb") — prefixes ledger keys.
@@ -165,7 +157,7 @@ class MechanismDecorator(CacheComponent):
         self._staged_probes = 0
         self._staged_prefetches = 0
 
-    # ------------------------------------------------------------ scalar
+    # ------------------------------------------------------------ staging
 
     def begin_stage(self) -> None:
         self._staged_misses = 0
@@ -208,32 +200,85 @@ class MechanismDecorator(CacheComponent):
         addrs: np.ndarray,
         miss_budget: int | None = None,
         writes: np.ndarray | None = None,
+        victims: bool = False,
     ) -> KernelResult:
-        self.begin_stage()
         n = len(addrs)
-        lines = (
-            np.asarray(addrs, dtype=np.uint64)
-            >> np.uint64(self.config.line_bits)
-        ).tolist()
-        write_flags = writes.tolist() if writes is not None else None
-        access_line = self.access_line
-        miss_flags = bytearray(n)
-        budget = miss_budget if miss_budget is not None else n + 1
-        misses = 0
+        if n == 0:
+            return empty_result(victims)
+        addrs = np.asarray(addrs, dtype=np.uint64)
+        inner = self.inner
+        snap = inner.state_snapshot() if miss_budget is not None else None
+        # Under a budget the wrapped component runs in doubling windows,
+        # so it overshoots the budget-th miss by about one window (the
+        # wrapped stack gives the same results however its stream is cut
+        # into calls). Sampling budgets are tens of misses against calls
+        # of up to 32 Ki references: running the whole call once and
+        # rolling back, as Pipeline does, made `repro table1 --quick
+        # --mechanism vc --backend array` 1.57x slower (median of 10
+        # alternating runs, 20.7 s vs 13.2 s, 2-vCPU x86-64 VM).
+        span = n if miss_budget is None else max(_FIRST_WINDOW, 4 * miss_budget)
+        left = miss_budget
+        out_at: list[np.ndarray] = []
+        leaving: list[int] = []
+        lo = hi = 0
         consumed = n
-        for i in range(n):
-            write = bool(write_flags[i]) if write_flags is not None else False
-            if access_line(lines[i], write).miss:
-                miss_flags[i] = 1
-                misses += 1
-                budget -= 1
-                if budget == 0:
-                    consumed = i + 1
+        while hi < n:
+            hi = min(n, lo + span)
+            res = inner._chunk_access(
+                addrs[lo:hi],
+                writes=None if writes is None else writes[lo:hi],
+                victims=True,
+            )
+            at = np.flatnonzero(res.miss_mask) + lo
+            lines = (addrs[at] >> np.uint64(self.config.line_bits)).tolist()
+            out, gone, walked = self._walk(lines, res.victims.tolist(), left)
+            self._staged_probes += walked
+            self._staged_hits += walked - len(out)
+            self._staged_misses += len(out)
+            out_at.append(at[out])
+            leaving += gone
+            if left is not None:
+                left -= len(out)
+                if left == 0:
+                    consumed = int(at[walked - 1]) + 1
                     break
-        miss_mask = np.frombuffer(
-            bytes(miss_flags[:consumed]), dtype=np.uint8
-        ).astype(bool)
-        return KernelResult(miss_mask, consumed, misses, 0, 0)
+            lo = hi
+            span *= 2
+        if consumed < hi:
+            # The walk stopped at the budget-th post-mechanism miss; the
+            # wrapped component must not keep the references past it,
+            # nor their staged counts.
+            inner.state_restore(snap)
+            inner.begin_stage()
+            inner._chunk_access(
+                addrs[:consumed],
+                writes=None if writes is None else writes[:consumed],
+                victims=True,
+            )
+        miss_mask = np.zeros(consumed, dtype=bool)
+        miss_mask[np.concatenate(out_at)] = True
+        return KernelResult(
+            miss_mask,
+            consumed,
+            len(leaving),
+            0,
+            0,
+            np.asarray(leaving, dtype=np.int64) if victims else None,
+        )
+
+    @abc.abstractmethod
+    def _walk(
+        self, lines: list[int], victims: list[int], budget: int | None
+    ) -> tuple[list[int], list[int], int]:
+        """Walk the inner misses through the decorator's own storage.
+
+        ``lines[k]`` is the k-th inner miss and ``victims[k]`` the line
+        the wrapped component evicted for it (-1 for none). Stops after
+        the ``budget``-th post-mechanism miss. Returns the indices ``k``
+        that stay misses, the line each of them pushes out of the whole
+        decorated stack (-1 for none), and the number of inner misses
+        walked. Stream buffers stage their prefetches here.
+        """
 
     def access(
         self,
@@ -245,6 +290,7 @@ class MechanismDecorator(CacheComponent):
         n = len(addrs)
         if n == 0:
             return AccessResult(np.zeros(0, dtype=bool), 0)
+        self.begin_stage()
         res = self._chunk_access(addrs, miss_budget=miss_budget, writes=writes)
         self.commit_stage(tag, res.consumed)
         return AccessResult(res.miss_mask, res.consumed)
@@ -310,28 +356,33 @@ class VictimCache(MechanismDecorator):
         #: Insertion-ordered line -> None map; oldest entry first (LRU).
         self._lines: dict[int, None] = {}
 
-    def access_line(self, line: int, write: bool = False) -> LineOutcome:
-        out = self.inner.access_line(line, write)
-        if not out.miss:
-            return LineOutcome(False, None)
-        self._staged_probes += 1
-        if line in self._lines:
-            # Swap: the VC entry is consumed and the inner victim takes
-            # its slot, so the VC never overflows here and nothing
-            # leaves the decorated stack.
-            del self._lines[line]
-            if out.evicted is not None:
-                self._lines[out.evicted] = None
-            self._staged_hits += 1
-            return LineOutcome(False, None)
-        leaving: int | None = None
-        if out.evicted is not None:
-            self._lines[out.evicted] = None
-            if len(self._lines) > self.entries:
-                leaving = next(iter(self._lines))
-                del self._lines[leaving]
-        self._staged_misses += 1
-        return LineOutcome(True, leaving)
+    def _walk(
+        self, lines: list[int], victims: list[int], budget: int | None
+    ) -> tuple[list[int], list[int], int]:
+        held = self._lines
+        entries = self.entries
+        out: list[int] = []
+        leaving: list[int] = []
+        for k, (line, victim) in enumerate(zip(lines, victims)):
+            if line in held:
+                # Swap: the VC entry is consumed and the inner victim
+                # takes its slot, so the VC never overflows here and
+                # nothing leaves the decorated stack.
+                del held[line]
+                if victim >= 0:
+                    held[victim] = None
+                continue
+            gone = -1
+            if victim >= 0:
+                held[victim] = None
+                if len(held) > entries:
+                    gone = next(iter(held))
+                    del held[gone]
+            out.append(k)
+            leaving.append(gone)
+            if len(out) == budget:
+                return out, leaving, k + 1
+        return out, leaving, len(lines)
 
     def _own_state(self) -> object:
         return dict(self._lines)
@@ -356,27 +407,31 @@ class MissCache(MechanismDecorator):
         #: Insertion-ordered line -> None map; oldest entry first (LRU).
         self._lines: dict[int, None] = {}
 
-    def access_line(self, line: int, write: bool = False) -> LineOutcome:
-        out = self.inner.access_line(line, write)
-        if not out.miss:
-            return LineOutcome(False, None)
-        self._staged_probes += 1
-        if line in self._lines:
-            # LRU promote; the line stays duplicated in the MC while the
-            # inner fill (already applied) also holds it.
-            del self._lines[line]
-            self._lines[line] = None
-            self._staged_hits += 1
-            return LineOutcome(False, out.evicted)
-        self._lines[line] = None
-        leaving = out.evicted
-        if len(self._lines) > self.entries:
-            dropped = next(iter(self._lines))
-            del self._lines[dropped]
-            if leaving is None:
-                leaving = dropped
-        self._staged_misses += 1
-        return LineOutcome(True, leaving)
+    def _walk(
+        self, lines: list[int], victims: list[int], budget: int | None
+    ) -> tuple[list[int], list[int], int]:
+        held = self._lines
+        entries = self.entries
+        out: list[int] = []
+        leaving: list[int] = []
+        for k, (line, victim) in enumerate(zip(lines, victims)):
+            if line in held:
+                # LRU promote; the line stays duplicated in the MC while
+                # the inner fill (already applied) also holds it.
+                del held[line]
+                held[line] = None
+                continue
+            held[line] = None
+            if len(held) > entries:
+                dropped = next(iter(held))
+                del held[dropped]
+                if victim < 0:
+                    victim = dropped
+            out.append(k)
+            leaving.append(victim)
+            if len(out) == budget:
+                return out, leaving, k + 1
+        return out, leaving, len(lines)
 
     def _own_state(self) -> object:
         return dict(self._lines)
@@ -408,27 +463,35 @@ class StreamBuffers(MechanismDecorator):
         #: Buffer indices, least recently used first.
         self._lru: list[int] = list(range(entries))
 
-    def access_line(self, line: int, write: bool = False) -> LineOutcome:
-        out = self.inner.access_line(line, write)
-        if not out.miss:
-            return LineOutcome(False, None)
-        self._staged_probes += 1
-        for buf in range(self.entries):
-            if self._heads[buf] == line:
-                # Head hit: the buffer shifts and prefetches one more
-                # line to keep its depth, rescuing the miss.
-                self._heads[buf] = line + 1
-                self._staged_prefetches += 1
-                self._staged_hits += 1
-                self._lru.remove(buf)
-                self._lru.append(buf)
-                return LineOutcome(False, out.evicted)
-        buf = self._lru.pop(0)
-        self._lru.append(buf)
-        self._heads[buf] = line + 1
-        self._staged_prefetches += self.depth
-        self._staged_misses += 1
-        return LineOutcome(True, out.evicted)
+    def _walk(
+        self, lines: list[int], victims: list[int], budget: int | None
+    ) -> tuple[list[int], list[int], int]:
+        heads = self._heads
+        lru = self._lru
+        out: list[int] = []
+        leaving: list[int] = []
+        walked = len(lines)
+        for k, line in enumerate(lines):
+            if line in heads:
+                # Head hit (the lowest-numbered matching buffer): it
+                # shifts and prefetches one more line to keep its depth,
+                # rescuing the miss.
+                buf = heads.index(line)
+                heads[buf] = line + 1
+                lru.remove(buf)
+                lru.append(buf)
+                continue
+            buf = lru.pop(0)
+            lru.append(buf)
+            heads[buf] = line + 1
+            out.append(k)
+            leaving.append(victims[k])
+            if len(out) == budget:
+                walked = k + 1
+                break
+        # One prefetch per rescued miss, ``depth`` per new allocation.
+        self._staged_prefetches += walked - len(out) + self.depth * len(out)
+        return out, leaving, walked
 
     def _own_state(self) -> object:
         return (list(self._heads), list(self._lru))
@@ -444,11 +507,11 @@ class StreamBuffers(MechanismDecorator):
 
     def resident_lines(self) -> set[int]:
         """Buffered (prefetched) lines: each head's depth-long window."""
-        lines: set[int] = set()
+        buffered: set[int] = set()
         for head in self._heads:
             if head is not None:
-                lines.update(range(head, head + self.depth))
-        return lines
+                buffered.update(range(head, head + self.depth))
+        return buffered
 
     def contents_line_count(self) -> int:
         allocated = sum(1 for head in self._heads if head is not None)
@@ -493,19 +556,11 @@ class Pipeline(CacheComponent):
         # ledgers can never disagree.
         self.stats = self.levels[-1].stats
 
-    # ------------------------------------------------------------ scalar
+    # ------------------------------------------------------------ staging
 
     def begin_stage(self) -> None:
         for level in self.levels:
             level.begin_stage()
-
-    def access_line(self, line: int, write: bool = False) -> LineOutcome:
-        out = LineOutcome(True, None)
-        for level in self.levels:
-            out = level.access_line(line, False)
-            if not out.miss:
-                return LineOutcome(False, None)
-        return out
 
     def commit_stage(self, tag: str, accesses: int) -> None:
         for level in self.levels:
@@ -520,8 +575,13 @@ class Pipeline(CacheComponent):
         addrs: np.ndarray,
         miss_budget: int | None = None,
         writes: np.ndarray | None = None,
+        victims: bool = False,
     ) -> KernelResult:
-        self.begin_stage()
+        # ``victims`` goes to every level, not just the last (whose
+        # victims are the pipeline's): it also selects the
+        # refill-on-empty RANDOM draw rule, which every kernel in a
+        # decorated stack must follow to stay chunk-invariant. Upper
+        # levels therefore report victims that nothing reads.
         n = len(addrs)
         addrs = np.asarray(addrs, dtype=np.uint64)
         uppers = self.levels[:-1]
@@ -536,7 +596,7 @@ class Pipeline(CacheComponent):
             """Run ``chunk`` through the upper levels; composed index."""
             index: np.ndarray | None = None
             for upper in uppers:
-                r = upper._chunk_access(chunk)
+                r = upper._chunk_access(chunk, victims=victims)
                 hit_through = np.flatnonzero(r.miss_mask)
                 index = (
                     hit_through if index is None else index[hit_through]
@@ -545,7 +605,7 @@ class Pipeline(CacheComponent):
             return chunk, index
 
         cur, index = filter_down(addrs)
-        r_last = last._chunk_access(cur, miss_budget=miss_budget)
+        r_last = last._chunk_access(cur, miss_budget=miss_budget, victims=victims)
 
         consumed = n
         if miss_budget is not None and r_last.misses >= miss_budget:
@@ -573,7 +633,9 @@ class Pipeline(CacheComponent):
             return r_last
         miss_mask = np.zeros(consumed, dtype=bool)
         miss_mask[index[r_last.miss_mask]] = True
-        return KernelResult(miss_mask, consumed, r_last.misses, 0, 0)
+        return KernelResult(
+            miss_mask, consumed, r_last.misses, 0, 0, r_last.victims
+        )
 
     def access(
         self,
@@ -585,6 +647,7 @@ class Pipeline(CacheComponent):
         n = len(addrs)
         if n == 0:
             return AccessResult(np.zeros(0, dtype=bool), 0)
+        self.begin_stage()
         res = self._chunk_access(addrs, miss_budget=miss_budget)
         self.commit_stage(tag, res.consumed)
         return AccessResult(res.miss_mask, res.consumed)
@@ -722,7 +785,7 @@ class SharedLevelPort(CacheComponent):
         #: attribution against the core's live object map.
         self._pending_classified: list[tuple[np.ndarray, np.ndarray]] = []
 
-    # ------------------------------------------------------------ scalar
+    # ------------------------------------------------------------ staging
 
     def begin_stage(self) -> None:
         self._staged_misses = 0
@@ -734,13 +797,6 @@ class SharedLevelPort(CacheComponent):
         self._staged_rescued = 0
         self.shared_level.leaf.begin_stage()
         self.shadow.begin_stage()
-
-    def access_line(self, line: int, write: bool = False) -> LineOutcome:
-        raise CacheConfigError(
-            "mechanism decorators cannot wrap a shared level: the scalar "
-            "per-line path would interleave staged victim state across "
-            "cores; run mechanism sweeps single-core"
-        )
 
     def commit_stage(self, tag: str, accesses: int) -> None:
         self.stats.record(
@@ -775,7 +831,15 @@ class SharedLevelPort(CacheComponent):
         addrs: np.ndarray,
         miss_budget: int | None = None,
         writes: np.ndarray | None = None,
+        victims: bool = False,
     ) -> KernelResult:
+        if victims:
+            raise CacheConfigError(
+                "mechanism decorators cannot wrap a shared level: its "
+                "victims are evicted by every core's traffic, so a "
+                "decorator would capture other cores' lines; run "
+                "mechanism sweeps single-core"
+            )
         res = self.shared_level.leaf._chunk_access(
             addrs, miss_budget=miss_budget, writes=writes
         )

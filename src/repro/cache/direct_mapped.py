@@ -12,6 +12,8 @@ guides for turning a sequential scan into a sort + segmented comparison.
 ``miss_budget`` is honoured by snapshot/replay: the per-set resident-line
 table is saved before the chunk, and when the budget-th miss falls inside
 the chunk the state is restored and only the consumed prefix re-applied.
+A reference's victim (for ``victims=True`` calls) is the line it found
+in its set: the previous reference to that set, or the resident line.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import numpy as np
 
 from repro import sanitize
 from repro.cache.base import AccessResult
-from repro.cache.components import CacheComponent, LineOutcome
+from repro.cache.components import CacheComponent
 from repro.cache.config import CacheConfig
 from repro.cache.kernels.base import KernelResult
 from repro.errors import CacheConfigError
@@ -57,8 +59,11 @@ class DirectMappedCache(CacheComponent):
         line = addr >> self.config.line_bits
         return bool(self._tags[line & self.config.set_mask] == line)
 
-    def _classify(self, lines: np.ndarray) -> np.ndarray:
-        """Miss mask for ``lines`` and in-place state update (no budget)."""
+    def _classify(
+        self, lines: np.ndarray, victims: bool = False
+    ) -> tuple[np.ndarray, np.ndarray | None]:
+        """Miss mask for ``lines`` and in-place state update (no budget),
+        plus, for ``victims``, the line each reference found (-1 none)."""
         set_idx = (lines & np.uint64(self.config.set_mask)).astype(np.int64)
         order = np.argsort(set_idx, kind="stable")
         s_sets = set_idx[order]
@@ -75,6 +80,13 @@ class DirectMappedCache(CacheComponent):
             first_of_group[1:] = s_sets[1:] != s_sets[:-1]
         leaders = np.flatnonzero(first_of_group)
         hit_sorted[leaders] = self._tags[s_sets[leaders]] == s_lines[leaders]
+        found = None
+        if victims:
+            found_sorted = np.empty(len(lines), dtype=np.uint64)
+            found_sorted[1:] = s_lines[:-1]
+            found_sorted[leaders] = self._tags[s_sets[leaders]]
+            found = np.empty(len(lines), dtype=np.int64)
+            found[order] = found_sorted.view(np.int64)  # _EMPTY reads -1
 
         # The last reference of each set group leaves its line resident.
         last_of_group = np.ones(len(lines), dtype=bool)
@@ -85,7 +97,7 @@ class DirectMappedCache(CacheComponent):
 
         miss_mask = np.empty(len(lines), dtype=bool)
         miss_mask[order] = ~hit_sorted
-        return miss_mask
+        return miss_mask, found
 
     def access(
         self,
@@ -120,12 +132,13 @@ class DirectMappedCache(CacheComponent):
         addrs: np.ndarray,
         miss_budget: int | None = None,
         writes: np.ndarray | None = None,
+        victims: bool = False,
     ) -> KernelResult:
         n = len(addrs)
         lines = np.asarray(addrs, dtype=np.uint64) >> np.uint64(self.config.line_bits)
 
         snapshot = self._tags.copy() if miss_budget is not None else None
-        miss_mask = self._classify(lines)
+        miss_mask, found = self._classify(lines, victims)
 
         consumed = n
         if miss_budget is not None:
@@ -135,22 +148,18 @@ class DirectMappedCache(CacheComponent):
                 # Budget exhausted mid-chunk: roll back and re-apply prefix.
                 consumed = int(crossing) + 1
                 self._tags = snapshot
-                miss_mask = self._classify(lines[:consumed])
+                miss_mask, found = self._classify(lines[:consumed], victims)
 
         misses = int(miss_mask.sum())
         self._staged_misses += misses
-        return KernelResult(miss_mask, consumed, misses, 0, 0)
-
-    def access_line(self, line: int, write: bool = False) -> LineOutcome:
-        """Scalar per-line path for decorator components."""
-        idx = line & self.config.set_mask
-        resident = self._tags[idx]
-        if resident == line:
-            return LineOutcome(False, None)
-        evicted = None if resident == _EMPTY else int(resident)
-        self._tags[idx] = line
-        self._staged_misses += 1
-        return LineOutcome(True, evicted)
+        return KernelResult(
+            miss_mask,
+            consumed,
+            misses,
+            0,
+            0,
+            None if found is None else found[miss_mask],
+        )
 
     def state_snapshot(self) -> object:
         return self._tags.copy()

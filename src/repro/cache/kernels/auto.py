@@ -64,8 +64,9 @@ class AutoKernel(SetKernel):
         addrs: np.ndarray,
         miss_budget: int | None = None,
         writes: np.ndarray | None = None,
+        victims: bool = False,
     ) -> KernelResult:
-        result = self._inner.access(addrs, miss_budget, writes)
+        result = self._inner.access(addrs, miss_budget, writes, victims)
         if not self._decided:
             self._probe_refs += result.consumed
             self._probe_misses += result.misses

@@ -13,6 +13,14 @@ pool (drawing one random number per eviction inside the hot loop would
 dominate runtime). The pool refill rule is part of the equivalence
 contract — it is keyed on the *chunk length*, not on how many evictions
 the chunk performs — so it lives here, shared by every backend.
+
+A caller that passes ``victims=True`` (the mechanism decorators of
+:mod:`repro.cache.components`) gets, besides the miss mask, the line
+each miss evicted (``-1`` for a fill into a free way), and switches the
+draw rule: the pool is never pre-sized, it is refilled with
+:data:`VICTIM_POOL_REFILL` fresh draws whenever an eviction finds it
+empty. Draws then depend on the eviction count alone, so a decorated
+stack gives the same results however its stream is cut into calls.
 """
 
 from __future__ import annotations
@@ -25,12 +33,19 @@ import numpy as np
 from repro.cache.policies import ReplacementPolicy
 from repro.util.rng import make_rng
 
+#: Fresh RANDOM draws taken when a victim-reporting call finds the
+#: eviction pool empty (the refill-on-empty draw rule).
+VICTIM_POOL_REFILL = 4096
+
 
 class KernelResult(NamedTuple):
     """Raw outcome of one (possibly budget-limited) chunk classification.
 
     ``miss_mask`` covers only the ``consumed`` leading references;
     references past ``consumed`` were *not* applied to the kernel state.
+    ``victims`` is filled only for ``victims=True`` calls: one int64
+    entry per miss, in chunk order, holding the line that miss evicted
+    (``-1`` when it filled a free way).
     """
 
     miss_mask: np.ndarray
@@ -38,6 +53,42 @@ class KernelResult(NamedTuple):
     misses: int
     writebacks: int
     prefetches: int
+    victims: np.ndarray | None = None
+
+
+def empty_result(victims: bool) -> KernelResult:
+    """The result of a zero-length chunk."""
+    return KernelResult(
+        np.zeros(0, dtype=bool),
+        0,
+        0,
+        0,
+        0,
+        np.zeros(0, dtype=np.int64) if victims else None,
+    )
+
+
+def victim_result(
+    n: int,
+    miss_pos: list[int],
+    victims: list[int],
+    writebacks: int,
+    budget: int | None,
+) -> KernelResult:
+    """Package a :meth:`SetKernel._victim_walk` over a chunk of ``n``."""
+    consumed = (
+        miss_pos[-1] + 1 if budget is not None and len(miss_pos) == budget else n
+    )
+    miss_mask = np.zeros(consumed, dtype=bool)
+    miss_mask[np.asarray(miss_pos, dtype=np.int64)] = True
+    return KernelResult(
+        miss_mask,
+        consumed,
+        len(miss_pos),
+        writebacks,
+        0,
+        np.asarray(victims, dtype=np.int64),
+    )
 
 
 class SetKernel(abc.ABC):
@@ -88,6 +139,67 @@ class SetKernel(abc.ABC):
         if len(self._rand_pool) < 2 * n:
             self._refill_rand_pool(2 * n)
 
+    def _victim_walk(
+        self,
+        lines: list[int],
+        sets: list,
+        dirty: set[int],
+        write_flags: list[bool] | None = None,
+        budget: int | None = None,
+        materialise=None,
+    ) -> tuple[list[int], list[int], int]:
+        """The per-reference loop of a ``victims=True`` call.
+
+        Applies ``lines`` in order to ``sets`` (per-set lists of
+        resident lines, oldest or least recent first, as the reference
+        kernel keeps them; a ``None`` entry is built on first touch by
+        ``materialise(set_idx)``) and ``dirty`` (the dirty lines), under
+        the refill-on-empty draw rule. Stops after the ``budget``-th
+        miss. Returns the miss indices into ``lines``, their victims and
+        the writeback count.
+        """
+        set_mask = self.set_mask
+        assoc = self.assoc
+        lru = self.policy is ReplacementPolicy.LRU
+        random_policy = self.policy is ReplacementPolicy.RANDOM
+        rand_pool = self._rand_pool
+        miss_idx: list[int] = []
+        victims: list[int] = []
+        writebacks = 0
+        for i in range(len(lines)):
+            line = lines[i]
+            s = sets[line & set_mask]
+            if s is None:
+                s = materialise(line & set_mask)
+            write = write_flags is not None and write_flags[i]
+            if line in s:
+                if lru and s[-1] != line:
+                    s.remove(line)
+                    s.append(line)
+                if write:
+                    dirty.add(line)
+                continue
+            victim = -1
+            if len(s) >= assoc:
+                if random_policy:
+                    if not rand_pool:
+                        self._refill_rand_pool(VICTIM_POOL_REFILL)
+                        rand_pool = self._rand_pool
+                    victim = s.pop(rand_pool.pop())
+                else:
+                    victim = s.pop(0)  # LRU and FIFO both evict the head
+                if victim in dirty:
+                    dirty.discard(victim)
+                    writebacks += 1
+            s.append(line)
+            if write:
+                dirty.add(line)  # write-allocate: filled dirty
+            miss_idx.append(i)
+            victims.append(victim)
+            if len(miss_idx) == budget:
+                break
+        return miss_idx, victims, writebacks
+
     # ----------------------------------------------------------- interface
 
     @abc.abstractmethod
@@ -96,8 +208,19 @@ class SetKernel(abc.ABC):
         addrs: np.ndarray,
         miss_budget: int | None = None,
         writes: np.ndarray | None = None,
+        victims: bool = False,
     ) -> KernelResult:
-        """Classify a chunk of byte addresses, updating set state."""
+        """Classify a chunk of byte addresses, updating set state.
+
+        ``victims=True`` does two things. It reports each miss's evicted
+        line in :attr:`KernelResult.victims`, and it switches RANDOM
+        replacement to the refill-on-empty draw rule (see the module
+        notes). The second changes *which* lines RANDOM evicts, so a
+        kernel must get either only ``victims=True`` calls or none: the
+        mechanism decorators pass it on every call, to every kernel of
+        the stack they wrap, including levels whose victims they never
+        read.
+        """
 
     @abc.abstractmethod
     def reset(self) -> None:

@@ -48,6 +48,14 @@ a full sequential mirror of the reference loop over a flat list copy of
 the state: prefetch fills may touch neighbouring sets mid-chunk and
 dirty bits must be set in reference order, so none of the fast paths is
 sound.
+
+A ``victims=True`` call (mechanism decorators) takes the same phases and
+reads each miss's victim off the state it replaces: a fill run's victim
+is the tag under its slot before the run, or the fill ``assoc`` places
+earlier in its set; a rounds-tail miss's victim is the tag in the
+gathered row. Every sequential part (the tail, the rounds tail's
+fallback, write masks) runs the shared victim walk over lazily built
+set lists, under the refill-on-empty RANDOM draw rule.
 """
 
 from __future__ import annotations
@@ -56,7 +64,12 @@ import copy
 
 import numpy as np
 
-from repro.cache.kernels.base import KernelResult, SetKernel
+from repro.cache.kernels.base import (
+    KernelResult,
+    SetKernel,
+    empty_result,
+    victim_result,
+)
 from repro.cache.policies import ReplacementPolicy
 
 #: Empty-slot sentinel; real line numbers are non-negative.
@@ -78,6 +91,21 @@ def _radix_key(values: np.ndarray, maxval: int) -> np.ndarray:
     if maxval < 1 << 16:
         return values.astype(np.uint16)
     return values
+
+
+def _fast_result(
+    miss_flags: bytearray,
+    consumed: int,
+    misses: int,
+    writebacks: int,
+    vic: np.ndarray | None,
+) -> KernelResult:
+    """Package the fast path's per-reference flags (and victims)."""
+    miss_mask = np.frombuffer(
+        bytes(miss_flags[:consumed]), dtype=np.uint8
+    ).astype(bool)
+    victims = None if vic is None else vic[:consumed][miss_mask]
+    return KernelResult(miss_mask, consumed, misses, writebacks, 0, victims)
 
 
 class ArrayKernel(SetKernel):
@@ -158,11 +186,19 @@ class ArrayKernel(SetKernel):
         addrs: np.ndarray,
         miss_budget: int | None = None,
         writes: np.ndarray | None = None,
+        victims: bool = False,
     ) -> KernelResult:
         n = len(addrs)
         if n == 0:
-            return KernelResult(np.zeros(0, dtype=bool), 0, 0, 0, 0)
+            return empty_result(victims)
         lines_arr = np.asarray(addrs, dtype=np.uint64) >> self.line_bits
+        if victims:
+            if writes is None:
+                return self._access_fast(lines_arr, miss_budget, victims=True)
+            miss_pos, evicted, writebacks = self._walk_sets(
+                lines_arr.tolist(), writes.tolist(), miss_budget
+            )
+            return victim_result(n, miss_pos, evicted, writebacks, miss_budget)
         if self.policy is ReplacementPolicy.RANDOM:
             self._ensure_rand_pool(n)
         if writes is not None or self.prefetch_next_line:
@@ -331,10 +367,15 @@ class ArrayKernel(SetKernel):
         return out
 
     def _access_fast(
-        self, lines_arr: np.ndarray, miss_budget: int | None
+        self,
+        lines_arr: np.ndarray,
+        miss_budget: int | None,
+        victims: bool = False,
     ) -> KernelResult:
         """Follower skip + alternating runs + rounds tail (no writes)."""
         n = len(lines_arr)
+        #: Per-reference victim line (-1 = none), for ``victims`` calls.
+        vic = np.full(n, -1, dtype=np.int64) if victims else None
         if n > 1:
             leader_pos = np.flatnonzero(
                 np.concatenate(([True], lines_arr[1:] != lines_arr[:-1]))
@@ -492,8 +533,11 @@ class ArrayKernel(SetKernel):
                         # Whole-chunk fill: reuse the set grouping from
                         # the top-of-chunk sort instead of re-sorting.
                         presorted = grouped
-                    wb = self._fill_run(arrays, ss[:m], ll[:m], presorted)
-                    mf[leader_pos[start : start + m]] = 1
+                    run_pos = leader_pos[start : start + m]
+                    wb = self._fill_run(
+                        arrays, ss[:m], ll[:m], presorted, vic, run_pos
+                    )
+                    mf[run_pos] = 1
                     misses += m
                     writebacks += wb
                     self._n_dirty -= wb
@@ -501,20 +545,14 @@ class ArrayKernel(SetKernel):
                         budget -= m
                         if budget == 0:
                             consumed = int(leader_pos[start + m - 1]) + 1
-                            miss_mask = np.frombuffer(
-                                bytes(miss_flags[:consumed]), dtype=np.uint8
-                            ).astype(bool)
-                            return KernelResult(
-                                miss_mask, consumed, misses, writebacks, 0
+                            return _fast_result(
+                                miss_flags, consumed, misses, writebacks, vic
                             )
                     start += m
 
         rem = n_lead - start
         if rem == 0:
-            miss_mask = np.frombuffer(
-                bytes(miss_flags[:consumed]), dtype=np.uint8
-            ).astype(bool)
-            return KernelResult(miss_mask, consumed, misses, writebacks, 0)
+            return _fast_result(miss_flags, consumed, misses, writebacks, vic)
 
         # -------- rounds tail: whole-chunk gather/scatter for the
         # scattered remainder. Sound only without a budget (the cut point
@@ -527,13 +565,11 @@ class ArrayKernel(SetKernel):
                 sets_all[start:],
                 leader_pos[start:],
                 mf,
+                vic,
             )
             misses += tail_misses
             writebacks += tail_wb
-            miss_mask = np.frombuffer(
-                bytes(miss_flags[:consumed]), dtype=np.uint8
-            ).astype(bool)
-            return KernelResult(miss_mask, consumed, misses, writebacks, 0)
+            return _fast_result(miss_flags, consumed, misses, writebacks, vic)
 
         # Scattered certified-hit pass before the sequential tail: any
         # remaining leader that is resident AND precedes its own set's
@@ -561,10 +597,20 @@ class ArrayKernel(SetKernel):
         if seq_leaders is None:
             seq_leaders = range(start, n_lead)
         if not seq_leaders:
-            miss_mask = np.frombuffer(
-                bytes(miss_flags[:consumed]), dtype=np.uint8
-            ).astype(bool)
-            return KernelResult(miss_mask, consumed, misses, writebacks, 0)
+            return _fast_result(miss_flags, consumed, misses, writebacks, vic)
+        if vic is not None:
+            seq_pos = leader_pos[seq_leaders]
+            miss_idx, evicted, wb = self._walk_sets(
+                leader_lines[seq_leaders].tolist(), budget=budget
+            )
+            miss_at = seq_pos[miss_idx]
+            mf[miss_at] = 1
+            vic[miss_at] = evicted
+            if budget is not None and len(miss_idx) == budget:
+                consumed = int(miss_at[-1]) + 1
+            return _fast_result(
+                miss_flags, consumed, misses + len(miss_idx), writebacks + wb, vic
+            )
 
         # -------- sequential tail: lazily materialise touched sets as
         # small logical-order Python lists (membership over <= assoc
@@ -626,28 +672,9 @@ class ArrayKernel(SetKernel):
                         consumed = i + 1
                         break
 
-        # Write the touched sets back to the arrays (head normalised to
-        # 0, empty ways cleared and clean).
-        for s_idx in touched:
-            s = slists[s_idx]
-            c = len(s)
-            row = tags2d[s_idx]
-            row[:c] = s
-            row[c:] = _EMPTY
-            cnt_np[s_idx] = c
-            head_np[s_idx] = 0
-            if had_dirty:
-                drow = dirty2d[s_idx]
-                drow[:] = 0
-                for j, ln in enumerate(s):
-                    if ln in dirty_set:
-                        drow[j] = 1
-
+        self._store_sets(touched, slists, dirty_set if had_dirty else None)
         self._n_dirty = n_dirty
-        miss_mask = np.frombuffer(bytes(miss_flags[:consumed]), dtype=np.uint8).astype(
-            bool
-        )
-        return KernelResult(miss_mask, consumed, misses, writebacks, 0)
+        return _fast_result(miss_flags, consumed, misses, writebacks, None)
 
     # --------------------------------------------------- vectorised phases
 
@@ -657,6 +684,7 @@ class ArrayKernel(SetKernel):
         ss: np.ndarray,
         pos: np.ndarray,
         mf: np.ndarray,
+        vic: np.ndarray | None = None,
     ) -> tuple[int, int]:
         """Replay the remaining leaders as per-set rounds (LRU/FIFO only).
 
@@ -672,7 +700,8 @@ class ArrayKernel(SetKernel):
         Each set sees its references in chunk order and sets are
         independent, so the result is bit-identical to the sequential
         loop. Returns ``(misses, writebacks)`` and scatters the global
-        miss flags through ``mf``/``pos``.
+        miss flags (and, given ``vic``, each miss's victim: the tag its
+        slot held in the gathered row) through ``mf``/``pos``.
         """
         tags2d = self._tags2d
         dirty2d = self._dirty2d
@@ -706,7 +735,13 @@ class ArrayKernel(SetKernel):
         if max_rounds > max(64, m >> 4):
             # Pathological single-set pile-up: per-round selections would
             # be tiny, so the sequential tail is the faster mirror.
-            return self._tail_python(ll, ss, pos, mf)
+            if vic is None:
+                return self._tail_python(ll, ss, pos, mf)
+            miss_idx, evicted, wb = self._walk_sets(ll.tolist())
+            miss_at = pos[miss_idx]
+            mf[miss_at] = 1
+            vic[miss_at] = evicted
+            return len(miss_idx), wb
         order2 = np.argsort(_radix_key(seq, max_rounds - 1), kind="stable")
         bounds = np.searchsorted(seq[order2], np.arange(max_rounds + 1))
 
@@ -760,6 +795,8 @@ class ArrayKernel(SetKernel):
                 wstate1[flat + assoc] = stamp  # promote and fill alike
             midx = np.flatnonzero(~hit)
             if midx.size:
+                if vic is not None:
+                    vic[lpos[sl][midx]] = g[midx, slot[midx]]
                 if track_dirty:
                     dflat = rows[midx] * assoc + slot[midx]
                     wb = int(wdirty1[dflat].sum())
@@ -842,6 +879,20 @@ class ArrayKernel(SetKernel):
                         dirty_set.discard(victim)
                         n_dirty -= 1
                 s.append(line)
+        self._store_sets(touched, slists, dirty_set if had_dirty else None)
+        self._n_dirty = n_dirty
+        return misses, writebacks
+
+    def _store_sets(
+        self, touched: list[int], slists: list, dirty_set: set[int] | None
+    ) -> None:
+        """Write materialised set lists back to the arrays (head
+        normalised to 0, empty ways cleared and clean). ``dirty_set``
+        None means no touched line can be dirty."""
+        tags2d = self._tags2d
+        dirty2d = self._dirty2d
+        head_np = self._head_np
+        cnt_np = self._cnt_np
         for s_idx in touched:
             s = slists[s_idx]
             c = len(s)
@@ -850,14 +901,50 @@ class ArrayKernel(SetKernel):
             row[c:] = _EMPTY
             cnt_np[s_idx] = c
             head_np[s_idx] = 0
-            if had_dirty:
+            if dirty_set is not None:
                 drow = dirty2d[s_idx]
                 drow[:] = 0
                 for j, ln in enumerate(s):
                     if ln in dirty_set:
                         drow[j] = 1
-        self._n_dirty = n_dirty
-        return misses, writebacks
+
+    def _walk_sets(
+        self,
+        lines: list[int],
+        write_flags: list[bool] | None = None,
+        budget: int | None = None,
+    ) -> tuple[list[int], list[int], int]:
+        """:meth:`SetKernel._victim_walk` over set lists built from the
+        arrays on first touch and written back once at the end."""
+        tags2d = self._tags2d
+        dirty2d = self._dirty2d
+        head_np = self._head_np
+        cnt_np = self._cnt_np
+        had_dirty = self._n_dirty > 0
+        slists: list = [None] * self.n_sets
+        touched: list[int] = []
+        dirty: set[int] = set()
+
+        def materialise(s_idx: int) -> list[int]:
+            row = tags2d[s_idx].tolist()
+            h = int(head_np[s_idx])
+            s = row[h:] + row[:h] if h else row[: int(cnt_np[s_idx])]
+            slists[s_idx] = s
+            touched.append(s_idx)
+            if had_dirty:
+                for t_val, d_val in zip(row, dirty2d[s_idx].tolist()):
+                    if d_val:
+                        dirty.add(t_val)
+            return s
+
+        miss_idx, victims, writebacks = self._victim_walk(
+            lines, slists, dirty, write_flags, budget, materialise
+        )
+        track_dirty = had_dirty or write_flags is not None
+        if track_dirty:
+            self._n_dirty += len(dirty) - int(dirty2d[touched].sum())
+        self._store_sets(touched, slists, dirty if track_dirty else None)
+        return miss_idx, victims, writebacks
 
     def _promote_run(
         self, arrays: _Arrays, run_sets: np.ndarray, run_lines: np.ndarray
@@ -901,6 +988,8 @@ class ArrayKernel(SetKernel):
         cs: np.ndarray,
         cl: np.ndarray,
         presorted: _Arrays | None = None,
+        vic: np.ndarray | None = None,
+        vic_pos: np.ndarray | None = None,
     ) -> int:
         """Apply a guaranteed-miss run as vectorised circular appends.
 
@@ -910,7 +999,9 @@ class ArrayKernel(SetKernel):
         out, so appending again is exact); returns the number of dirty
         victims written back. Only called for LRU/FIFO. ``presorted``
         optionally carries ``(order, s_sets, grp_start, grp_sizes)``
-        from a caller that already grouped the whole run by set.
+        from a caller that already grouped the whole run by set. Given
+        ``vic``, each fill's victim is stored at its chunk position from
+        ``vic_pos``.
         """
         tags2d, dirty2d, head_np, cnt_np = arrays
         assoc = self.assoc
@@ -948,6 +1039,14 @@ class ArrayKernel(SetKernel):
         if track_dirty:
             evict_pre = (t >= assoc) & (t < c0s + assoc)
             wb = int(dirty_flat[flat[evict_pre]].sum())
+        if vic is not None:
+            # A set's first `assoc` fills replace the tag under their slot
+            # (an empty way holds -1); each later fill replaces the fill
+            # `assoc` places before it in the same set.
+            victims = tags2d.reshape(-1)[flat]
+            late = np.flatnonzero(seq >= assoc)
+            victims[late] = s_lines[late - assoc]
+            vic[vic_pos[order]] = victims
 
         # Only a set's last `assoc` fills survive, and together they hit
         # every slot the set's earlier fills touched (same phys modulo

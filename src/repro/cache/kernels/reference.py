@@ -5,7 +5,9 @@ state is a list of line numbers per set, ordered oldest-first, so LRU
 promotion and eviction are O(assoc) list operations; associativities in
 practice are 2-16, where a linear scan of a small list beats any fancier
 structure. Its access loop *defines* the semantics every other backend
-must reproduce bit-for-bit.
+must reproduce bit-for-bit. A ``victims=True`` call runs the shared
+victim-reporting walk (:meth:`SetKernel._victim_walk`) over the same
+lists instead, leaving the main loop free of per-miss reporting work.
 """
 
 from __future__ import annotations
@@ -14,7 +16,12 @@ import copy
 
 import numpy as np
 
-from repro.cache.kernels.base import KernelResult, SetKernel
+from repro.cache.kernels.base import (
+    KernelResult,
+    SetKernel,
+    empty_result,
+    victim_result,
+)
 from repro.cache.policies import ReplacementPolicy
 
 
@@ -67,12 +74,18 @@ class ReferenceKernel(SetKernel):
         addrs: np.ndarray,
         miss_budget: int | None = None,
         writes: np.ndarray | None = None,
+        victims: bool = False,
     ) -> KernelResult:
         n = len(addrs)
         if n == 0:
-            return KernelResult(np.zeros(0, dtype=bool), 0, 0, 0, 0)
+            return empty_result(victims)
         lines = (np.asarray(addrs, dtype=np.uint64) >> self.line_bits).tolist()
         write_flags = writes.tolist() if writes is not None else None
+        if victims:
+            miss_pos, evicted, writebacks = self._victim_walk(
+                lines, self._sets, self._dirty, write_flags, miss_budget
+            )
+            return victim_result(n, miss_pos, evicted, writebacks, miss_budget)
         set_mask = self.set_mask
         assoc = self.assoc
         sets = self._sets

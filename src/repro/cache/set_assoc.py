@@ -30,11 +30,10 @@ import numpy as np
 
 from repro import sanitize
 from repro.cache.base import AccessResult
-from repro.cache.components import CacheComponent, LineOutcome
+from repro.cache.components import CacheComponent
 from repro.cache.config import CacheConfig
 from repro.cache.kernels import kernel_for_config, resolve_backend
 from repro.cache.kernels.base import KernelResult
-from repro.cache.policies import ReplacementPolicy
 from repro.errors import SimulationError
 
 
@@ -120,63 +119,22 @@ class SetAssociativeCache(CacheComponent):
         addrs: np.ndarray,
         miss_budget: int | None = None,
         writes: np.ndarray | None = None,
+        victims: bool = False,
     ) -> KernelResult:
-        res = self._kernel.access(addrs, miss_budget=miss_budget, writes=writes)
-        self._staged_misses += res.misses
-        self._staged_writebacks += res.writebacks
-        self._staged_prefetches += res.prefetches
-        return res
-
-    def access_line(self, line: int, write: bool = False) -> LineOutcome:
-        """Scalar per-line path for decorator components.
-
-        A direct transcription of the reference kernel's per-reference
-        loop body, operating on its set state so victims are observable;
-        decorated stacks run on the reference kernel only (``make_cache``
-        forces the backend), hence the guard. The next-line prefetcher is
-        not supported here — :class:`~repro.cache.components.StreamBuffers`
-        is the composable replacement.
-        """
-        kernel = self._kernel
-        sets = getattr(kernel, "_sets", None)
-        if sets is None:
-            raise SimulationError(
-                "per-line component access requires the reference kernel "
-                f"(have {kernel.name!r}); make_cache selects it for "
-                "decorated stacks"
-            )
-        if self.prefetch_next_line:
+        if victims and self.prefetch_next_line:
+            # Prefetch fills evict too, outside any miss: no per-miss
+            # victim report can describe them.
             raise SimulationError(
                 "prefetch_next_line cannot combine with decorator "
                 "components; wrap the cache in StreamBuffers instead"
             )
-        s = sets[line & kernel.set_mask]
-        dirty = kernel._dirty
-        if line in s:
-            if kernel.policy is ReplacementPolicy.LRU and s[-1] != line:
-                s.remove(line)
-                s.append(line)
-            if write:
-                dirty.add(line)
-            return LineOutcome(False, None)
-        self._staged_misses += 1
-        evicted: int | None = None
-        if len(s) >= kernel.assoc:
-            if kernel.policy is ReplacementPolicy.RANDOM:
-                if not kernel._rand_pool:
-                    # Scalar path refills on empty (chunk-size invariant
-                    # by construction: draws depend only on evictions).
-                    kernel._refill_rand_pool(4096)
-                evicted = s.pop(kernel._rand_pool.pop())
-            else:
-                evicted = s.pop(0)  # LRU and FIFO both evict the head
-            if evicted in dirty:
-                dirty.discard(evicted)
-                self._staged_writebacks += 1
-        s.append(line)
-        if write:
-            dirty.add(line)
-        return LineOutcome(True, evicted)
+        res = self._kernel.access(
+            addrs, miss_budget=miss_budget, writes=writes, victims=victims
+        )
+        self._staged_misses += res.misses
+        self._staged_writebacks += res.writebacks
+        self._staged_prefetches += res.prefetches
+        return res
 
     def state_snapshot(self) -> object:
         return self._kernel.snapshot()

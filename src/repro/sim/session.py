@@ -555,8 +555,9 @@ class SimulationSession:
         eviction pool refills are keyed on chunk length, so re-chunking
         changes the eviction stream. LRU/FIFO kernels are pure functions
         of the reference order. Mechanism-decorated stacks are invariant
-        even under RANDOM: their scalar path refills the pool only when
-        it runs empty, so draws depend on the eviction count alone.
+        even under RANDOM: decorators ask every kernel in their stack for
+        per-miss victims, and such calls refill the pool only when it
+        runs empty, so draws depend on the eviction count alone.
         """
         from repro.cache.policies import ReplacementPolicy
 

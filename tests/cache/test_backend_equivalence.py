@@ -6,9 +6,12 @@ after every chunk the AccessResults (miss mask + consumed) and the full
 CacheStats must match exactly, including mid-chunk ``miss_budget`` stops,
 write masks, prefetching and the seeded RANDOM-eviction stream. At the
 end the observable set state (per-set residency order, dirty counts) must
-match too, so a divergence can never hide between chunks.
+match too, so a divergence can never hide between chunks. Victim-reporting
+calls (what mechanism decorators issue) are held to the same standard,
+per-miss victims included.
 """
 
+import collections
 import dataclasses
 
 import numpy as np
@@ -16,6 +19,7 @@ import pytest
 
 from repro.cache.config import CacheConfig
 from repro.cache.hierarchy import TwoLevelCache
+from repro.cache.kernels import KERNEL_BACKENDS, ArrayKernel
 from repro.cache.policies import ReplacementPolicy
 from repro.cache.set_assoc import SetAssociativeCache
 
@@ -228,6 +232,137 @@ class TestHierarchyBackends:
                 pos += ra.consumed
         assert ref.contents_line_count() == arr.contents_line_count()
         assert ref.l1_contents_line_count() == arr.l1_contents_line_count()
+
+
+@pytest.fixture
+def victim_paths(monkeypatch):
+    """Count the array kernel's victim-reporting paths as they run."""
+    seen = collections.Counter()
+    in_rounds = []
+
+    def spy(name, classify):
+        original = getattr(ArrayKernel, name)
+
+        def wrapper(self, *args, **kwargs):
+            path = classify(args, kwargs)
+            if path is not None:
+                seen[path] += 1
+            if name == "_tail_rounds":
+                in_rounds.append(path)
+                try:
+                    return original(self, *args, **kwargs)
+                finally:
+                    in_rounds.pop()
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(ArrayKernel, name, wrapper)
+
+    def walk_path(args, kwargs):
+        if len(args) > 1 and args[1] is not None:
+            return "write-mask path"
+        if in_rounds and in_rounds[-1] is not None:
+            return "rounds-tail fallback"
+        return "sequential tail"
+
+    spy("_fill_run", lambda a, k: "fill runs" if a[4] is not None else None)
+    spy("_tail_rounds", lambda a, k: "rounds tail" if a[4] is not None else None)
+    spy("_walk_sets", walk_path)
+    return seen
+
+
+def replay_victims(cfg, chunks, budgets=None, writes=None, seed=11):
+    """Feed every backend the same chunks through victim-reporting
+    calls; masks, cut points, counts, victims and state must agree."""
+    caches = {
+        b: SetAssociativeCache(cfg, seed=seed, backend=b) for b in KERNEL_BACKENDS
+    }
+    ref = caches["reference"]
+    for k, chunk in enumerate(chunks):
+        budget = budgets[k] if budgets is not None else None
+        w = writes[k] if writes is not None else None
+        pos = 0
+        while pos < len(chunk):
+            sub_w = w[pos:] if w is not None else None
+            results = {
+                b: c._chunk_access(chunk[pos:], budget, sub_w, victims=True)
+                for b, c in caches.items()
+            }
+            want = results["reference"]
+            for b, got in results.items():
+                where = f"{b}, chunk {k}"
+                assert got.consumed == want.consumed, where
+                assert np.array_equal(got.miss_mask, want.miss_mask), where
+                assert np.array_equal(got.victims, want.victims), where
+                assert (got.misses, got.writebacks) == (
+                    want.misses,
+                    want.writebacks,
+                ), where
+                caches[b].commit_stage("app", got.consumed)
+            pos += want.consumed
+    for b in ("array", "auto"):
+        assert_same_state(ref, caches[b], cfg)
+        assert ref.stats.__dict__ == caches[b].stats.__dict__
+
+
+class TestVictimReports:
+    """``array`` and ``auto`` report the same per-miss victims as
+    ``reference`` on this file's streams, through every path of the
+    array kernel that can evict."""
+
+    def test_fill_runs(self, victim_paths):
+        cfg = CacheConfig(size=256 * 1024, assoc=4)
+        base, chunks = 0, []
+        for _ in range(4):
+            chunks.append(
+                addrs_of_lines(
+                    np.repeat(np.arange(base, base + 8000, dtype=np.uint64), 2)
+                )
+            )
+            base += 8000
+        replay_victims(cfg, chunks, budgets=[None, 997, None, None])
+        assert victim_paths["fill runs"] > 0
+
+    @pytest.mark.parametrize(
+        "policy", [ReplacementPolicy.LRU, ReplacementPolicy.FIFO], ids=lambda p: p.value
+    )
+    def test_rounds_tail(self, policy, victim_paths):
+        cfg = CacheConfig(size=64 * 1024, assoc=8, policy=policy)
+        rng = np.random.default_rng(2)
+        chunks = [random_stream(rng, 8192, 4096, 0.5) for _ in range(4)]
+        replay_victims(cfg, chunks)
+        assert victim_paths["rounds tail"] > 0
+
+    def test_rounds_tail_fallback(self, victim_paths):
+        """A single-set pile-up sends the rounds tail to the walk."""
+        cfg = CacheConfig(size=64 * 1024, assoc=4)
+        rng = np.random.default_rng(8)
+        lines = rng.integers(0, 12, 4000) * cfg.n_sets
+        replay_victims(cfg, [addrs_of_lines(lines)])
+        assert victim_paths["rounds-tail fallback"] > 0
+
+    def test_sequential_tail(self, victim_paths):
+        cfg = CacheConfig(size=16 * 1024, assoc=4, policy=ReplacementPolicy.RANDOM)
+        rng = np.random.default_rng(5)
+        chunks = [
+            random_stream(rng, n, 2048) for n in (1, 4096, 3, 900, 5000, 17, 2500)
+        ]
+        replay_victims(cfg, chunks, seed=123)
+        lru = CacheConfig(size=16 * 1024, assoc=4)
+        replay_victims(lru, chunks, budgets=[3, 40, None, 7, 150, None, 11])
+        assert victim_paths["sequential tail"] > 0
+
+    @pytest.mark.parametrize("policy", POLICIES, ids=lambda p: p.value)
+    def test_write_mask_path(self, policy, victim_paths):
+        cfg = CacheConfig(size=64 * 4 * 32, line_size=64, assoc=4, policy=policy)
+        rng = np.random.default_rng(23)
+        chunks, budgets, writes = [], [], []
+        for _ in range(20):
+            n = int(rng.integers(1, 600))
+            chunks.append(random_stream(rng, n, n_lines=3 * cfg.n_lines))
+            budgets.append(int(rng.integers(1, 30)) if rng.random() < 0.5 else None)
+            writes.append(rng.random(len(chunks[-1])) < 0.3)
+        replay_victims(cfg, chunks, budgets, writes, seed=7)
+        assert victim_paths["write-mask path"] > 0
 
 
 class TestEndToEnd:

@@ -1,10 +1,10 @@
 """Component pipeline and mechanism-decorator tests.
 
-Covers the ISSUE-8 protocol contracts: leaf evolution is untouched by
-decoration, every ledger's counters reconcile across the stack,
-``backend="auto"``/``"array"`` never mis-dispatch a decorated config,
-and budget-limited chunking is equivalent to unsplit access. Property
-tests drive random streams through every stack shape.
+Covers the component protocol contracts: leaf evolution is untouched
+by decoration, every ledger's counters reconcile across the stack,
+decorated configs run on the requested kernel backend, and
+budget-limited chunking is equivalent to unsplit access on every
+backend. Property tests drive random streams through every stack shape.
 """
 
 import dataclasses
@@ -29,7 +29,9 @@ from repro.cache import (
     parse_mechanisms,
     wrap_mechanisms,
 )
-from repro.errors import CacheConfigError
+from repro.cache.direct_mapped import DirectMappedCache
+from repro.cache.kernels import KERNEL_BACKENDS
+from repro.errors import CacheConfigError, SimulationError
 
 pytestmark = pytest.mark.mechanisms
 
@@ -62,9 +64,9 @@ def ledgers_of(cache):
     return dict(cache.component_ledgers())
 
 
-def decorated(mech, config=CFG, seed=None):
+def decorated(mech, config=CFG, seed=None, backend=None):
     return make_cache(
-        dataclasses.replace(config, mechanisms=mech), seed=seed
+        dataclasses.replace(config, mechanisms=mech), seed=seed, backend=backend
     )
 
 
@@ -100,6 +102,13 @@ class TestConstruction:
                 prefetch_next_line=True,
             )
 
+    def test_prefetching_leaf_refuses_victim_reports(self):
+        """Prefetch fills evict outside any miss, so a hand-built stack
+        over a prefetching leaf fails loudly instead of losing victims."""
+        leaf = SetAssociativeCache(CFG, prefetch_next_line=True)
+        with pytest.raises(SimulationError, match="StreamBuffers"):
+            VictimCache(leaf).access(sequential_stream(8))
+
     def test_ledger_labels(self):
         assert [k for k, _ in decorated("vc+sb").component_ledgers()] == [
             "sb", "vc", "cache",
@@ -114,16 +123,17 @@ class TestConstruction:
 
 
 class TestDispatch:
-    """Satellite 1: decorated configs must never leave the reference kernel."""
+    """Decorated stacks run on the requested kernel backend."""
 
     @pytest.mark.parametrize("backend", ["auto", "array", None])
-    def test_decorated_stack_forces_reference_kernel(self, backend):
+    def test_decorated_stack_runs_requested_kernel(self, backend):
         cfg = dataclasses.replace(CFG, mechanisms="vc+sb")
         cache = make_cache(cfg, backend=backend)
         leaf = cache.inner.inner
-        assert leaf._kernel.name == "reference"
-        # And it actually runs (the array kernel would lack _sets).
+        assert leaf._kernel.name == (backend or "reference")
+        # And the stack runs on it: the VC rescues the conflict stream.
         cache.access(conflict_stream(5))
+        assert cache.stats.misses == 3
 
     @pytest.mark.parametrize("backend", ["auto", "array"])
     def test_undecorated_dispatch_unchanged(self, backend):
@@ -272,28 +282,33 @@ class TestLedgers:
 
 
 class TestBudget:
+    """Each test runs on every kernel backend (the unsplit reference run
+    is the expectation for all of them)."""
+
     @pytest.mark.parametrize("mech", STACKS)
     def test_budget_resume_equals_unsplit(self, mech):
         stream = random_stream(seed=7)
         whole = decorated(mech)
         res = whole.access(stream)
-        split = decorated(mech)
-        masks = []
-        pos = 0
-        while pos < len(stream):
-            r = split.access(stream[pos:], miss_budget=17)
-            masks.append(r.miss_mask)
-            pos += r.consumed
-        assert np.array_equal(np.concatenate(masks), res.miss_mask)
-        assert split.stats.__dict__ == whole.stats.__dict__
-        assert split.resident_lines() == whole.resident_lines()
+        for backend in KERNEL_BACKENDS:
+            split = decorated(mech, backend=backend)
+            masks = []
+            pos = 0
+            while pos < len(stream):
+                r = split.access(stream[pos:], miss_budget=17)
+                masks.append(r.miss_mask)
+                pos += r.consumed
+            assert np.array_equal(np.concatenate(masks), res.miss_mask), backend
+            assert split.stats.__dict__ == whole.stats.__dict__, backend
+            assert split.resident_lines() == whole.resident_lines(), backend
 
     def test_budget_stops_exactly_on_posted_miss(self):
-        cache = decorated("vc")
         stream = sequential_stream(100)
-        r = cache.access(stream, miss_budget=10)
-        assert r.miss_mask[r.consumed - 1]
-        assert int(r.miss_mask.sum()) == 10
+        for backend in KERNEL_BACKENDS:
+            cache = decorated("vc", backend=backend)
+            r = cache.access(stream, miss_budget=10)
+            assert r.miss_mask[r.consumed - 1], backend
+            assert int(r.miss_mask.sum()) == 10, backend
 
 
 # ------------------------------------------------------------ state round trip
@@ -354,22 +369,54 @@ def test_property_vc_exclusive_and_bounded(lines):
 @given(lines=line_streams, seed=st.integers(0, 5))
 def test_property_random_policy_split_invariance(lines, seed):
     """RANDOM replacement draws depend only on eviction count, so
-    budget-split and unsplit runs stay bit-identical under decoration."""
-    cfg = dataclasses.replace(CFG, policy=ReplacementPolicy.RANDOM)
+    budget-split runs on every backend stay bit-identical to the unsplit
+    reference run under decoration."""
+    cfg = dataclasses.replace(
+        CFG, policy=ReplacementPolicy.RANDOM, mechanisms="vc"
+    )
     stream = addrs_of(lines)
-    whole = make_cache(
-        dataclasses.replace(cfg, mechanisms="vc"), seed=seed
+    res = make_cache(cfg, seed=seed).access(stream)
+    for backend in KERNEL_BACKENDS:
+        split = make_cache(cfg, seed=seed, backend=backend)
+        masks, pos = [], 0
+        while pos < len(stream):
+            r = split.access(stream[pos:], miss_budget=5)
+            masks.append(r.miss_mask)
+            pos += r.consumed
+        assert np.array_equal(np.concatenate(masks), res.miss_mask), backend
+
+
+@pytest.mark.parametrize("backend", KERNEL_BACKENDS)
+def test_l1_filtered_window_with_no_misses(backend):
+    """A budgeted call whose first window hits the L1 throughout sends
+    an empty chunk down to the decorated L2."""
+    stack = make_cache(
+        dataclasses.replace(CFG, size=16 * 1024, mechanisms="vc+sb"),
+        l1_config=CFG,
+        backend=backend,
     )
-    res = whole.access(stream)
-    split = make_cache(
-        dataclasses.replace(cfg, mechanisms="vc"), seed=seed
-    )
-    masks, pos = [], 0
-    while pos < len(stream):
-        r = split.access(stream[pos:], miss_budget=5)
-        masks.append(r.miss_mask)
-        pos += r.consumed
-    assert np.array_equal(np.concatenate(masks), res.miss_mask)
+    hot = np.tile(addrs_of(range(8)), 100)
+    stack.access(hot[:8])  # warm: afterwards every reference hits the L1
+    res = stack.access(hot[8:], miss_budget=3)
+    assert (res.consumed, int(res.miss_mask.sum())) == (len(hot) - 8, 0)
+    chain_invariants(stack, hot)
+
+
+def test_direct_mapped_leaf_decorates_like_one_way():
+    """Decorators accept the vectorised direct-mapped leaf too."""
+    one_way = dataclasses.replace(CFG, assoc=1)
+    dm = VictimCache(DirectMappedCache(one_way))
+    sa = VictimCache(SetAssociativeCache(one_way))
+    stream = random_stream(seed=9)
+    for budget in (None, 7):
+        pos = 0
+        while pos < len(stream):
+            a = dm.access(stream[pos : pos + 700], miss_budget=budget)
+            b = sa.access(stream[pos : pos + 700], miss_budget=budget)
+            assert a.consumed == b.consumed
+            assert np.array_equal(a.miss_mask, b.miss_mask)
+            pos += a.consumed
+    assert ledgers_of(dm) == ledgers_of(sa)
 
 
 def test_wrap_mechanisms_empty_returns_same_object():

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from repro import sanitize
 from repro.cache import CacheConfig, SetAssociativeCache
-from repro.cache.components import SharedCacheLevel
+from repro.cache.components import SharedCacheLevel, VictimCache
 from repro.errors import CacheConfigError
 from repro.sanitize import SanitizerError
 from repro.sanitize.ledger import check_component
@@ -115,6 +115,11 @@ class TestPortValidation:
             shared.port(0, SetAssociativeCache(other, seed=1))
 
     def test_scalar_path_refuses_decoration(self):
+        """A decorator asks the component it wraps for per-miss victims;
+        a port refuses, and a decorated port fails on first access."""
         _, ports = shared_with_ports(1)
+        addrs = np.arange(4, dtype=np.uint64) * np.uint64(64)
         with pytest.raises(CacheConfigError, match="single-core"):
-            ports[0].access_line(0)
+            ports[0]._chunk_access(addrs, victims=True)
+        with pytest.raises(CacheConfigError, match="single-core"):
+            VictimCache(ports[0]).access(addrs)

@@ -1,9 +1,10 @@
 """Session-layer contracts for mechanism-decorated cache stacks.
 
 Snapshot/resume must round-trip a *mid-run* decorated stack
-bit-identically (since v2 the payload pickles the component stack
-whole; v3 added kernel RNG draw counts), and ``finalize`` must surface
-the frozen per-component ledgers on the RunResult.
+bit-identically on every kernel backend (since v2 the payload pickles
+the component stack whole; v3 added kernel RNG draw counts), and
+``finalize`` must surface the frozen per-component ledgers on the
+RunResult.
 """
 
 import pickle
@@ -11,6 +12,7 @@ import pickle
 import pytest
 
 from repro.cache import CacheConfig
+from repro.cache.kernels import KERNEL_BACKENDS
 from repro.core.sampling import SamplingProfiler
 from repro.sim.engine import Simulator
 from repro.sim.session import SNAPSHOT_VERSION, SimulationSession
@@ -54,19 +56,23 @@ def test_snapshot_version_bumped_for_draw_accounting():
 
 
 def test_decorated_restore_bit_identical():
-    sim = Simulator(CFG, seed=5)
-    base = sim.run(make_workload(), tool=SamplingProfiler(period=701))
-
-    session = sim.start_session(
+    """On every kernel backend, a mid-run decorated snapshot resumes to
+    the uninterrupted reference run."""
+    base = Simulator(CFG, seed=5).run(
         make_workload(), tool=SamplingProfiler(period=701)
     )
-    for _ in range(3):
-        session.step()
-    snapshot = pickle.loads(pickle.dumps(session.snapshot()))
-    restored = SimulationSession.restore(snapshot, make_workload())
-    while restored.step():
-        pass
-    assert fingerprint(restored.finalize()) == fingerprint(base)
+    for backend in KERNEL_BACKENDS:
+        sim = Simulator(CFG, seed=5, backend=backend)
+        session = sim.start_session(
+            make_workload(), tool=SamplingProfiler(period=701)
+        )
+        for _ in range(3):
+            session.step()
+        snapshot = pickle.loads(pickle.dumps(session.snapshot()))
+        restored = SimulationSession.restore(snapshot, make_workload())
+        while restored.step():
+            pass
+        assert fingerprint(restored.finalize()) == fingerprint(base), backend
 
 
 def test_component_stats_on_result():
