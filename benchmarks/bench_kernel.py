@@ -1,9 +1,12 @@
 """Head-to-head throughput benchmark of the cache kernel backends.
 
-Replays the same reference streams through the "reference" and "array"
-kernels, reports refs/sec per backend, and sanity-checks that both saw
-exactly the same miss counts (the backends are contractually
-bit-identical — see DESIGN.md section 6). Results land in
+Replays the same reference streams through the "reference", "array"
+and "auto" kernels, reports refs/sec per backend, and sanity-checks that
+all saw exactly the same miss counts (the backends are contractually
+bit-identical — see DESIGN.md section 6). Every case runs the 4-way
+geometry in the file's ``config`` except ``*-1way``, which runs the same
+size direct-mapped: 1-way caches are ``SetAssociativeCache`` on these
+kernels too, so the gate watches that path as well. Results land in
 ``BENCH_kernel.json`` at the repository root.
 
 Usage::
@@ -65,7 +68,7 @@ def time_backend(backend: str, addrs: np.ndarray, cfg: CacheConfig, repeats: int
 
 
 def bench_case(name: str, addrs: np.ndarray, cfg: CacheConfig, repeats: int) -> dict:
-    result = {"case": name, "refs": int(len(addrs)), "backends": {}}
+    result = {"case": name, "refs": int(len(addrs)), "assoc": cfg.assoc, "backends": {}}
     miss_counts = {}
     for backend in KERNEL_BACKENDS:
         best, misses = time_backend(backend, addrs, cfg, repeats)
@@ -93,19 +96,27 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     cfg = CacheConfig(size=256 * 1024, assoc=4)
+    one_way = CacheConfig(size=cfg.size, assoc=1)
+    uniform = synthetic_stream(400_000, 8192, seed=1)
     cases = [
-        ("tomcatv-quick", workload_stream("tomcatv", **QUICK_TOMCATV)),
-        ("swim-quick", workload_stream("swim", n_steps=4, lines_per_array_per_step=1600)),
-        ("uniform-2x-cache", synthetic_stream(400_000, 8192, seed=1)),
-        ("hot-set-in-cache", synthetic_stream(400_000, 2048, seed=2)),
+        ("tomcatv-quick", workload_stream("tomcatv", **QUICK_TOMCATV), cfg),
+        (
+            "swim-quick",
+            workload_stream("swim", n_steps=4, lines_per_array_per_step=1600),
+            cfg,
+        ),
+        ("uniform-2x-cache", uniform, cfg),
+        ("hot-set-in-cache", synthetic_stream(400_000, 2048, seed=2), cfg),
+        # Conflict-heavy at assoc=1: half the references miss.
+        ("uniform-2x-cache-1way", uniform, one_way),
     ]
     results = []
-    for name, addrs in cases:
-        case = bench_case(name, addrs, cfg, args.repeats)
+    for name, addrs, case_cfg in cases:
+        case = bench_case(name, addrs, case_cfg, args.repeats)
         results.append(case)
         arr = case["backends"]["array"]
         print(
-            f"{name:>18}: {case['refs']:>8,} refs  "
+            f"{name:>21}: {case['refs']:>8,} refs  "
             f"array {arr['refs_per_sec']:>11,} refs/s  "
             f"speedup {case['speedup_array_vs_reference']:.2f}x"
         )

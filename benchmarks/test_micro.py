@@ -9,7 +9,7 @@ data structures.
 import numpy as np
 import pytest
 
-from repro.cache import CacheConfig, DirectMappedCache, SetAssociativeCache
+from repro.cache import CacheConfig, SetAssociativeCache
 from repro.datastructs.heap_pq import MaxPriorityQueue
 from repro.datastructs.rbtree import RedBlackTree
 from repro.hpm.counters import RegionCounterBank
@@ -45,7 +45,9 @@ class TestCacheThroughput:
         benchmark(run)
 
     def test_direct_mapped_vectorised(self, benchmark):
-        cache = DirectMappedCache(CacheConfig(size=256 * 1024, assoc=1))
+        cache = SetAssociativeCache(
+            CacheConfig(size=256 * 1024, assoc=1), backend="array"
+        )
 
         def run():
             cache.access(ADDRS)

@@ -17,8 +17,9 @@ Run:  python examples/cache_planning.py
 import numpy as np
 
 from repro import CacheConfig, NWaySearch, Simulator
-from repro.analysis import advise, analyse_conflicts, miss_ratio_curve
+from repro.analysis import advise, analyse_conflicts
 from repro.analysis.advisor import advice_table
+from repro.cache.mrc import mrc_from_addrs
 from repro.util.charts import hbar_chart
 from repro.util.units import fmt_bytes
 from repro.workloads.base import Workload
@@ -77,7 +78,7 @@ def main() -> None:
 
     print("\n== step 3: would a bigger cache help? ==")
     sizes = [32 * 1024, 64 * 1024, 128 * 1024, 256 * 1024, 512 * 1024, 1 << 20]
-    curve = miss_ratio_curve(sample, sizes)
+    curve = mrc_from_addrs(sample).curve(sizes)
     print(
         hbar_chart(
             [fmt_bytes(s) for s in sizes],

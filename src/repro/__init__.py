@@ -22,7 +22,6 @@ paper-vs-measured record of every table and figure.
 from repro import analysis, workloads
 from repro.cache import (
     CacheConfig,
-    DirectMappedCache,
     GroundTruth,
     ReplacementPolicy,
     SetAssociativeCache,
@@ -71,7 +70,6 @@ __all__ = [
     "ReferenceBlock",
     "CacheConfig",
     "SetAssociativeCache",
-    "DirectMappedCache",
     "ReplacementPolicy",
     "GroundTruth",
     "PerformanceMonitor",

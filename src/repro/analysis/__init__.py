@@ -4,29 +4,21 @@ The paper's techniques tell a programmer *which* data structure is
 causing cache misses; this package helps answer the follow-on questions
 a tuner immediately asks:
 
-* :mod:`repro.analysis.reuse` — LRU reuse-distance (stack-distance)
-  analysis and miss-ratio curves: "would a bigger cache fix it?"
 * :mod:`repro.analysis.conflicts` — per-set pressure and object conflict
   analysis: "are these misses capacity or conflict, and which arrays
   fight over the same sets?"
 * :mod:`repro.analysis.advisor` — turns a profile plus the above into
   per-object diagnoses (streaming / thrashing / conflicting) with
-  concrete remedies (blocking, padding, pooling).
+  concrete remedies (blocking, padding, pooling), from the stack
+  distances of :mod:`repro.cache.mrc`, which also answers "would a
+  bigger cache fix it?" (``mrc_from_addrs(addrs).curve(sizes)``).
 """
 
-from repro.analysis.reuse import (
-    ReuseProfile,
-    miss_ratio_curve,
-    reuse_distances,
-)
 from repro.analysis.conflicts import ConflictReport, analyse_conflicts
 from repro.analysis.advisor import Diagnosis, DiagnosisKind, advise
 from repro.analysis.phases import Phase, detect_phases, phase_profiles_differ, phase_table
 
 __all__ = [
-    "reuse_distances",
-    "miss_ratio_curve",
-    "ReuseProfile",
     "ConflictReport",
     "analyse_conflicts",
     "Diagnosis",

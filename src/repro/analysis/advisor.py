@@ -23,8 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.analysis.conflicts import ConflictReport
-from repro.analysis.reuse import COLD, ReuseProfile
 from repro.cache.config import CacheConfig
+from repro.cache.mrc import COLD, lines_of, reuse_distances
 from repro.core.profile import DataProfile
 from repro.util.format import Table, render_table
 from repro.util.units import fmt_pct
@@ -117,8 +117,6 @@ def advise(
     just misses) so reuse distances are meaningful; per-object streams
     are extracted by attribution.
     """
-    from repro.analysis.reuse import reuse_distances
-
     addrs = np.asarray(addrs, dtype=np.uint64)
     snapshot = object_map.snapshot()
     owner = snapshot.attribute(addrs)
@@ -136,7 +134,7 @@ def advise(
         own_refs = addrs[owner == idx]
         if len(own_refs) == 0:
             continue
-        distances = reuse_distances(own_refs, config.line_size)
+        distances = reuse_distances(lines_of(own_refs, config.line_size))
         kind, detail = _classify_object(
             share.share, distances, cache_lines, skew, minor_share
         )

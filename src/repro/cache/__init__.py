@@ -2,11 +2,12 @@
 
 The paper's evaluation runs applications under a software cache simulator:
 "The cache simulated is a single-level set associative cache (2MB in size
-for these experiments)". This package provides that simulator in two
-flavours — an exact set-associative model with pluggable replacement
-(:class:`SetAssociativeCache`) and a fully vectorised direct-mapped model
-(:class:`DirectMappedCache`) for large sweeps — plus the ground-truth
-per-object miss attribution that produces the paper's "Actual" columns.
+for these experiments)". This package provides that simulator — one
+exact set-associative model with pluggable replacement
+(:class:`SetAssociativeCache`) over the kernels in
+:mod:`repro.cache.kernels`, which serves every geometry, direct-mapped
+included — plus the ground-truth per-object miss attribution that
+produces the paper's "Actual" columns.
 """
 
 from repro.cache.config import CacheConfig, MechanismSpec, parse_mechanisms
@@ -22,7 +23,6 @@ from repro.cache.components import (
     wrap_mechanisms,
 )
 from repro.cache.set_assoc import SetAssociativeCache
-from repro.cache.direct_mapped import DirectMappedCache
 from repro.cache.hierarchy import TwoLevelCache
 from repro.cache.attribution import GroundTruth, MissSeries
 from repro.errors import CacheConfigError
@@ -37,7 +37,6 @@ __all__ = [
     "ReplacementPolicy",
     "KERNEL_BACKENDS",
     "SetAssociativeCache",
-    "DirectMappedCache",
     "TwoLevelCache",
     "Pipeline",
     "VictimCache",
@@ -59,13 +58,14 @@ def make_cache(
 ) -> CacheModel:
     """Build the right cache model for ``config``.
 
-    Direct-mapped geometries get the vectorised model automatically unless
-    a prefetcher is requested (prefetch needs the sequential model).
-    ``l1_config`` puts a filtering L1 in front, returning a
-    :class:`TwoLevelCache` whose miss stream (what the counters see) is
-    the L2's. ``backend`` selects the kernel executing the access loop
-    (see :mod:`repro.cache.kernels`); it defaults to ``config.backend``
-    and, for the two-level model, applies to both levels.
+    Every geometry, direct-mapped (``assoc=1``) included, builds a
+    :class:`SetAssociativeCache` on the selected kernel, so ``backend``
+    and write masks mean the same at every associativity. ``l1_config``
+    puts a filtering L1 in front, returning a :class:`TwoLevelCache`
+    whose miss stream (what the counters see) is the L2's. ``backend``
+    selects the kernel executing the access loop (see
+    :mod:`repro.cache.kernels`); it defaults to ``config.backend`` and,
+    for the two-level model, applies to both levels.
 
     ``config.mechanisms`` wraps the built stack (outermost component
     last-listed) in the requested miss-reduction decorators — see
@@ -96,11 +96,6 @@ def make_cache(
                 "prefetch_next_line is not supported on the two-level model"
             )
         return TwoLevelCache(l1_config, config, backend=backend, seed=seed)
-    if config.assoc == 1 and not prefetch_next_line:
-        # Already fully vectorised and exact for any backend; the miss
-        # classification (and its indifference to write masks) must not
-        # change with the backend knob, so both selections share it.
-        return DirectMappedCache(config, backend=backend)
     return SetAssociativeCache(
         config, seed=seed, prefetch_next_line=prefetch_next_line, backend=backend
     )

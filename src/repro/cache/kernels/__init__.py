@@ -22,6 +22,9 @@ name:
   regime where the array kernel's sequential fallback loses). Either
   way the results are bit-identical; only throughput changes.
 
+Every geometry runs on these kernels, direct-mapped (``assoc=1``)
+included; there is no separate 1-way model.
+
 Kernels take plain geometry integers rather than a
 :class:`~repro.cache.config.CacheConfig` so that ``config.py`` can
 import the backend registry without a cycle.

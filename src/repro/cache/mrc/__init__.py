@@ -11,10 +11,8 @@ exact simulator on every registry workload.
 
 from repro.cache.mrc.distances import (
     COLD,
-    DISTANCE_BACKENDS,
     MrcError,
     lines_of,
-    prefix_rank_leq,
     previous_occurrence,
     reuse_distances,
     self_rank_leq,
@@ -38,7 +36,6 @@ from repro.cache.mrc.shards import sample_mask, scale_distances
 __all__ = [
     "COLD",
     "DEFAULT_SAMPLE_RATE",
-    "DISTANCE_BACKENDS",
     "MRC_MODES",
     "MrcError",
     "MrcResult",
@@ -49,7 +46,6 @@ __all__ = [
     "lines_of",
     "miss_probability",
     "mrc_from_addrs",
-    "prefix_rank_leq",
     "previous_occurrence",
     "reuse_distances",
     "sample_mask",

@@ -1,4 +1,4 @@
-"""Exact LRU stack distances in one pass, with bit-identical backends.
+"""Exact LRU stack distances in one vectorised pass.
 
 The *stack distance* (Mattson et al.) of a reference is the number of
 distinct cache lines touched since the previous reference to the same
@@ -7,55 +7,36 @@ references whose distance is >= C, plus cold first touches. One pass over
 a stream therefore yields the miss count of *every* cache size at once —
 the foundation of the MRC engine.
 
-Mirroring the cache-kernel design (DESIGN.md section 6), the pass rests
-on two *independently derived* exact formulations behind one dispatch
-point, bit-identical by contract (differential + property tested in
-``tests/mrc/``), so each serves as the other's oracle:
+The pass rests on an offline identity. Writing ``prev[t]`` for the
+previous occurrence of reference ``t``'s line, the distance satisfies::
 
-* **Online (Olken)** — ``"fenwick"``: a Fenwick tree over last-access
-  timestamps (:class:`repro.datastructs.FenwickTree`) answers "distinct
-  lines whose most recent access follows this line's previous access"
-  with one prefix sum per reference. O(N log N), sequential by nature —
-  the reference implementation.
-* **Offline identity** — writing ``prev[t]`` for the previous occurrence
-  of reference ``t``'s line, the distance satisfies::
+    dist(t) = #{ j : prev[t] < j < t  and  prev[j] <= prev[t] }
+            = #{ j < t : prev[j] <= prev[t] }  -  (prev[t] + 1)
 
-      dist(t) = #{ j : prev[t] < j < t  and  prev[j] <= prev[t] }
-              = #{ j < t : prev[j] <= prev[t] }  -  (prev[t] + 1)
+because a window position ``j`` is the *first* occurrence of its line
+inside ``(prev[t], t)`` exactly when its own previous occurrence falls at
+or before ``prev[t]``, and every ``j <= prev[t]`` trivially has
+``prev[j] < j <= prev[t]``. The remaining term — the rank of each element
+among the prefix before it — has no per-reference data dependence, so it
+vectorises: :func:`self_rank_leq` answers it by bottom-up merge counting
+(dyadic blocks of the ``prev`` array kept sorted and merged pairwise,
+each right-block element counting its left sibling's elements ``<=``
+itself with one global ``searchsorted`` over offset block keys), log N
+levels of whole-array NumPy operations.
 
-  because a window position ``j`` is the *first* occurrence of its line
-  inside ``(prev[t], t)`` exactly when its own previous occurrence falls
-  at or before ``prev[t]``, and every ``j <= prev[t]`` trivially has
-  ``prev[j] < j <= prev[t]``. The remaining term — the rank of each
-  element among the prefix before it — has no per-reference data
-  dependence, so it vectorises. Two realisations ship:
-
-  * ``"sortmerge"`` (default) — bottom-up merge counting: dyadic blocks
-    of the ``prev`` array are kept sorted and merged pairwise, level by
-    level; each right-block element counts its left-sibling elements
-    ``<=`` itself with one global ``searchsorted`` over offset block
-    keys. log N levels of whole-array NumPy operations; the fastest
-    exact pass at the stream sizes this repo sweeps (~3x Olken).
-  * ``"offline"`` — a wavelet-style bit-plane sweep over the value
-    domain (:func:`prefix_rank_leq`), kept as the structurally distinct
-    cross-check of the same identity.
-
-All backends return identical int64 arrays; :data:`COLD` (-1) marks
-first touches.
+The test suite holds this pass to two independent oracles in
+``tests/mrc/``: Olken's online Fenwick-tree algorithm and a brute-force
+LRU stack. :data:`COLD` (-1) marks first touches.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.datastructs.fenwick import FenwickTree
 from repro.errors import ReproError
 
 #: Distance value assigned to cold (first-touch) references.
 COLD = -1
-
-#: Recognised stack-distance pass implementations.
-DISTANCE_BACKENDS = ("sortmerge", "fenwick", "offline")
 
 
 class MrcError(ReproError):
@@ -87,83 +68,6 @@ def previous_occurrence(codes: np.ndarray) -> np.ndarray:
     np.equal(ordered[1:], ordered[:-1], out=same_as_left[1:])
     prev[order[same_as_left]] = order[np.flatnonzero(same_as_left) - 1]
     return prev
-
-
-def prefix_rank_leq(
-    values: np.ndarray, prefixes: np.ndarray, thresholds: np.ndarray
-) -> np.ndarray:
-    """For each query ``i``: ``#{ j < prefixes[i] : values[j] <= thresholds[i] }``.
-
-    Offline wavelet-tree rank: elements and queries walk the bit planes of
-    the value domain from the most significant bit down, stably
-    partitioning elements by the current bit within their node and
-    descending each query toward its threshold. All per-level work is
-    vectorised; total cost O((N + Q) log V).
-    """
-    values = np.asarray(values, dtype=np.int64)
-    prefixes = np.asarray(prefixes, dtype=np.int64)
-    thresholds = np.asarray(thresholds, dtype=np.int64)
-    n, q = len(values), len(prefixes)
-    out = np.zeros(q, dtype=np.int64)
-    if n == 0 or q == 0:
-        return out
-    if values.min() < 0 or thresholds.min() < 0:
-        raise MrcError("prefix_rank_leq requires non-negative values/thresholds")
-    nbits = max(int(values.max()), int(thresholds.max())).bit_length() or 1
-
-    cur = values.copy()
-    positions = np.arange(n, dtype=np.int64)
-    elem_start = np.zeros(n, dtype=np.int64)
-    elem_end = np.full(n, n, dtype=np.int64)
-    q_start = np.zeros(q, dtype=np.int64)
-    q_end = np.full(q, n, dtype=np.int64)
-    plen = np.clip(prefixes, 0, n)
-    acc = np.zeros(q, dtype=np.int64)
-
-    zeros_cum = np.empty(n + 1, dtype=np.int64)
-    for bit in range(nbits - 1, -1, -1):
-        is_zero = ((cur >> bit) & 1) == 0
-        zeros_cum[0] = 0
-        np.cumsum(is_zero, out=zeros_cum[1:])
-
-        # Stable partition of every node: zeros first, ones after, spans
-        # unchanged — each element's new slot follows from cumsums alone.
-        zeros_before = zeros_cum[positions] - zeros_cum[elem_start]
-        node_zeros = zeros_cum[elem_end] - zeros_cum[elem_start]
-        ones_before = (positions - elem_start) - zeros_before
-        new_pos = np.where(
-            is_zero,
-            elem_start + zeros_before,
-            elem_start + node_zeros + ones_before,
-        )
-        child_start = np.where(is_zero, elem_start, elem_start + node_zeros)
-        child_end = np.where(is_zero, elem_start + node_zeros, elem_end)
-
-        nxt = np.empty_like(cur)
-        nxt[new_pos] = cur
-        es = np.empty_like(elem_start)
-        es[new_pos] = child_start
-        ee = np.empty_like(elem_end)
-        ee[new_pos] = child_end
-
-        # Queries: zeros among the node's first plen elements, and in the
-        # whole node, give the split; a 1-bit in the threshold accepts the
-        # entire zero-side and descends right.
-        z = zeros_cum[q_start + plen] - zeros_cum[q_start]
-        nz = zeros_cum[q_end] - zeros_cum[q_start]
-        thr_one = ((thresholds >> bit) & 1) == 1
-        acc += np.where(thr_one, z, 0)
-        new_q_start = np.where(thr_one, q_start + nz, q_start)
-        new_q_end = np.where(thr_one, q_end, q_start + nz)
-        plen = np.where(thr_one, plen - z, z)
-
-        cur, elem_start, elem_end = nxt, es, ee
-        q_start, q_end = new_q_start, new_q_end
-
-    # Elements still in each query's node equal its threshold exactly.
-    acc += plen
-    out[:] = acc
-    return out
 
 
 def self_rank_leq(values: np.ndarray) -> np.ndarray:
@@ -222,79 +126,22 @@ def self_rank_leq(values: np.ndarray) -> np.ndarray:
     return rank
 
 
-# ------------------------------------------------------------------ passes
+def reuse_distances(codes: np.ndarray) -> np.ndarray:
+    """Per-reference LRU stack distances over pre-decomposed line codes.
 
-def _distances_fenwick(codes: np.ndarray) -> np.ndarray:
-    """Olken's algorithm: Fenwick tree over live last-access timestamps."""
-    n = len(codes)
-    out = np.empty(n, dtype=np.int64)
-    prev = previous_occurrence(codes).tolist()
-    fen = FenwickTree(n)
-    live = 0
-    for t in range(n):
-        p = prev[t]
-        if p < 0:
-            out[t] = COLD
-            live += 1
-        else:
-            # Lines whose most recent access follows p; line(t) itself
-            # sits exactly at timestamp p, so it is never self-counted.
-            out[t] = live - fen.prefix_sum(p)
-            fen.add(p, -1)
-        fen.add(t, 1)
-    return out
-
-
-def _distances_offline(codes: np.ndarray) -> np.ndarray:
-    """Offline pass: previous-occurrence identity + batched prefix rank."""
-    n = len(codes)
-    out = np.full(n, COLD, dtype=np.int64)
-    if n == 0:
-        return out
-    prev = previous_occurrence(codes)
-    warm = np.flatnonzero(prev >= 0)
-    if len(warm) == 0:
-        return out
-    # Shift the value domain by +1 so cold markers (-1) become 0.
-    ranks = prefix_rank_leq(prev + 1, prefixes=warm, thresholds=prev[warm] + 1)
-    out[warm] = ranks - (prev[warm] + 1)
-    return out
-
-
-def _distances_sortmerge(codes: np.ndarray) -> np.ndarray:
-    """Offline identity with :func:`self_rank_leq` answering the ranks."""
-    n = len(codes)
-    out = np.full(n, COLD, dtype=np.int64)
-    if n == 0:
+    ``codes`` is any integer array where equal values mean "same cache
+    line" (use :func:`lines_of` to lower byte addresses). Returns an
+    int64 array: distinct *other* lines touched since the line's previous
+    access, or :data:`COLD` (-1) for first touches.
+    """
+    codes = np.asarray(codes)
+    if codes.ndim != 1:
+        raise MrcError("reuse_distances expects a 1-D code array")
+    out = np.full(len(codes), COLD, dtype=np.int64)
+    if len(codes) == 0:
         return out
     prev = previous_occurrence(codes)
     warm = prev >= 0
     rank = self_rank_leq(prev)
     out[warm] = rank[warm] - (prev[warm] + 1)
     return out
-
-
-def reuse_distances(codes: np.ndarray, backend: str = "sortmerge") -> np.ndarray:
-    """Per-reference LRU stack distances over pre-decomposed line codes.
-
-    ``codes`` is any integer array where equal values mean "same cache
-    line" (use :func:`lines_of` to lower byte addresses). Returns an
-    int64 array: distinct *other* lines touched since the line's previous
-    access, or :data:`COLD` (-1) for first touches. Backends are
-    bit-identical; ``"sortmerge"`` (vectorised merge counting) is the
-    default, ``"fenwick"`` (Olken) and ``"offline"`` (bit-plane rank)
-    the independently derived cross-checks.
-    """
-    if backend not in DISTANCE_BACKENDS:
-        raise MrcError(
-            f"unknown distance backend {backend!r}; "
-            f"available: {', '.join(DISTANCE_BACKENDS)}"
-        )
-    codes = np.asarray(codes)
-    if codes.ndim != 1:
-        raise MrcError("reuse_distances expects a 1-D code array")
-    if backend == "fenwick":
-        return _distances_fenwick(codes)
-    if backend == "sortmerge":
-        return _distances_sortmerge(codes)
-    return _distances_offline(codes)

@@ -58,8 +58,8 @@ _MUTATORS = {
 #: not be pickled across the fork boundary (rebuild from spec + seed).
 _LIVE_STATE_CTORS = {
     "make_rng", "spawn_rng", "default_rng", "Generator", "RandomState",
-    "make_cache", "SetAssociativeCache", "DirectMappedCache",
-    "TwoLevelCache", "Simulator", "SimulationSession", "PerformanceMonitor",
+    "make_cache", "SetAssociativeCache", "TwoLevelCache", "Simulator",
+    "SimulationSession", "PerformanceMonitor",
 }
 
 

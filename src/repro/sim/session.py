@@ -248,9 +248,16 @@ class SessionSnapshot:
 
     @staticmethod
     def load(path: str | os.PathLike[str]) -> "SessionSnapshot":
-        """Read a snapshot back; raises SimulationError on bad contents."""
+        """Read a snapshot back; raises SimulationError naming ``path`` on
+        bad contents: a truncated or corrupt file, one that pickled a class
+        that no longer exists, another object, or another format version."""
         with Path(path).open("rb") as fh:
-            loaded = pickle.load(fh)
+            try:
+                loaded = pickle.load(fh)
+            except Exception as exc:  # unpickling garbage can raise anything
+                raise SimulationError(
+                    f"cannot read snapshot {path}: {type(exc).__name__}: {exc}"
+                ) from exc
         if not isinstance(loaded, SessionSnapshot):
             raise SimulationError(f"{path} does not contain a SessionSnapshot")
         if loaded.version != SNAPSHOT_VERSION:

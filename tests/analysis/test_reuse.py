@@ -1,17 +1,29 @@
-"""Tests for reuse-distance analysis and miss-ratio curves."""
+"""Reuse-distance analysis of byte-address streams through the MRC
+engine's public API, as the advisor and examples use it: distances from
+``reuse_distances(lines_of(...))``, histograms from
+:class:`StackDistanceHistogram`, curves from ``mrc_from_addrs(...).curve``.
+"""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.reuse import (
+from repro.cache.mrc import (
     COLD,
-    ReuseProfile,
-    miss_ratio_curve,
-    reuse_distances,
+    StackDistanceHistogram,
+    lines_of,
+    mrc_from_addrs,
 )
-from repro.datastructs import FenwickTree
+from repro.cache.mrc import reuse_distances as line_distances
+
+
+def reuse_distances(addrs, line_size=64):
+    return line_distances(lines_of(addrs, line_size))
+
+
+def profile(addrs):
+    return StackDistanceHistogram.from_distances(reuse_distances(addrs))
 
 
 def addrs_of_lines(line_numbers, line_size=64):
@@ -31,33 +43,6 @@ def naive_distances(lines):
             out.append(COLD)
             history.append(line)
     return out
-
-
-class TestFenwick:
-    """The shared tree the distance pass builds on (repro.datastructs)."""
-
-    def test_prefix_sums(self):
-        f = FenwickTree(10)
-        f.add(3, 5)
-        f.add(7, 2)
-        assert f.prefix_sum(2) == 0
-        assert f.prefix_sum(3) == 5
-        assert f.prefix_sum(9) == 7
-        assert f.range_sum(4, 9) == 2
-        assert f.range_sum(5, 4) == 0
-        assert f.total() == 7
-
-    def test_negative_updates(self):
-        f = FenwickTree(5)
-        f.add(2, 3)
-        f.add(2, -3)
-        assert f.prefix_sum(4) == 0
-
-    def test_bounds(self):
-        with pytest.raises(IndexError):
-            FenwickTree(4).add(4, 1)
-        with pytest.raises(ValueError):
-            FenwickTree(-1)
 
 
 class TestReuseDistances:
@@ -92,27 +77,22 @@ class TestReuseDistances:
 
 class TestReuseProfile:
     def test_histogram_and_cold(self):
-        prof = ReuseProfile(reuse_distances(addrs_of_lines([0, 1, 0, 1, 0])))
-        assert prof.cold_misses == 2
-        assert prof.histogram[1] == 3  # three reuses at distance 1
+        prof = profile(addrs_of_lines([0, 1, 0, 1, 0]))
+        assert prof.cold == 2
+        assert prof.counts[1] == 3  # three reuses at distance 1
 
     def test_miss_ratio_at(self):
         # Cyclic sweep of 4 lines: distance 3 for every reuse.
-        stream = addrs_of_lines([0, 1, 2, 3] * 10)
-        prof = ReuseProfile(reuse_distances(stream))
+        prof = profile(addrs_of_lines([0, 1, 2, 3] * 10))
         # Cache of 4+ lines: only the 4 cold misses miss.
         assert prof.miss_ratio_at(4) == pytest.approx(4 / 40)
         # Cache of 3 lines: everything misses (LRU cyclic thrash).
         assert prof.miss_ratio_at(3) == 1.0
 
-    def test_mean_distance(self):
-        prof = ReuseProfile(reuse_distances(addrs_of_lines([0, 1, 0])))
-        assert prof.mean_distance() == 1.0
-
     def test_empty(self):
-        prof = ReuseProfile(reuse_distances(np.array([], dtype=np.uint64)))
+        prof = profile(np.array([], dtype=np.uint64))
+        assert prof.n_refs == 0
         assert prof.miss_ratio_at(10) == 0.0
-        assert prof.mean_distance() == 0.0
 
 
 class TestMissRatioCurve:
@@ -120,7 +100,7 @@ class TestMissRatioCurve:
         rng = np.random.default_rng(0)
         stream = addrs_of_lines(rng.integers(0, 600, 4000))
         sizes = [4 * 1024, 16 * 1024, 64 * 1024]
-        curve = miss_ratio_curve(stream, sizes)
+        curve = mrc_from_addrs(stream).curve(sizes)
         ratios = [curve[s] for s in sizes]
         assert ratios == sorted(ratios, reverse=True)
 
@@ -135,10 +115,10 @@ class TestMissRatioCurve:
         cfg = CacheConfig(size=size, line_size=64, assoc=64)
         cache = SetAssociativeCache(cfg)
         simulated = cache.access(stream).n_misses / len(stream)
-        predicted = miss_ratio_curve(stream, [size])[size]
+        predicted = mrc_from_addrs(stream).miss_ratio(size)
         assert predicted == pytest.approx(simulated, abs=1e-9)
 
     def test_huge_cache_leaves_cold_only(self):
         stream = addrs_of_lines([0, 1, 2, 0, 1, 2])
-        curve = miss_ratio_curve(stream, [1 << 20])
+        curve = mrc_from_addrs(stream).curve([1 << 20])
         assert curve[1 << 20] == pytest.approx(0.5)

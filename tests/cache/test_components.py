@@ -29,7 +29,6 @@ from repro.cache import (
     parse_mechanisms,
     wrap_mechanisms,
 )
-from repro.cache.direct_mapped import DirectMappedCache
 from repro.cache.kernels import KERNEL_BACKENDS
 from repro.errors import CacheConfigError, SimulationError
 
@@ -403,20 +402,21 @@ def test_l1_filtered_window_with_no_misses(backend):
 
 
 def test_direct_mapped_leaf_decorates_like_one_way():
-    """Decorators accept the vectorised direct-mapped leaf too."""
+    """A victim cache over a 1-way leaf runs the same on the vectorised
+    array kernel as on the reference loop."""
     one_way = dataclasses.replace(CFG, assoc=1)
-    dm = VictimCache(DirectMappedCache(one_way))
-    sa = VictimCache(SetAssociativeCache(one_way))
+    fast = VictimCache(SetAssociativeCache(one_way, backend="array"))
+    ref = VictimCache(SetAssociativeCache(one_way, backend="reference"))
     stream = random_stream(seed=9)
     for budget in (None, 7):
         pos = 0
         while pos < len(stream):
-            a = dm.access(stream[pos : pos + 700], miss_budget=budget)
-            b = sa.access(stream[pos : pos + 700], miss_budget=budget)
+            a = fast.access(stream[pos : pos + 700], miss_budget=budget)
+            b = ref.access(stream[pos : pos + 700], miss_budget=budget)
             assert a.consumed == b.consumed
             assert np.array_equal(a.miss_mask, b.miss_mask)
             pos += a.consumed
-    assert ledgers_of(dm) == ledgers_of(sa)
+    assert ledgers_of(fast) == ledgers_of(ref)
 
 
 def test_wrap_mechanisms_empty_returns_same_object():

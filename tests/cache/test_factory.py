@@ -3,8 +3,8 @@
 import pytest
 
 from repro.cache import (
+    KERNEL_BACKENDS,
     CacheConfig,
-    DirectMappedCache,
     SetAssociativeCache,
     TwoLevelCache,
     make_cache,
@@ -14,8 +14,11 @@ from repro.errors import CacheConfigError
 
 class TestMakeCache:
     def test_assoc1_gets_vectorised_model(self):
-        cache = make_cache(CacheConfig(size=64 * 1024, assoc=1))
-        assert isinstance(cache, DirectMappedCache)
+        """Direct-mapped geometries run on the vectorised array kernel
+        like any other when it is selected; there is no separate model."""
+        cache = make_cache(CacheConfig(size=64 * 1024, assoc=1, backend="array"))
+        assert isinstance(cache, SetAssociativeCache)
+        assert cache._kernel.name == "array"
 
     def test_assoc4_gets_sequential_model(self):
         cache = make_cache(CacheConfig(size=64 * 1024, assoc=4))
@@ -92,12 +95,15 @@ class TestBackendSelection:
         assert cache._kernel.name == "array"
 
     def test_direct_mapped_serves_both_backends(self):
-        for backend in ("reference", "array"):
-            cache = make_cache(
-                CacheConfig(size=64 * 1024, assoc=1), backend=backend
-            )
-            assert isinstance(cache, DirectMappedCache)
-            assert cache.backend == backend
+        """A 1-way cache honours ``backend`` (override and config alike)."""
+        for backend in KERNEL_BACKENDS:
+            for cache in (
+                make_cache(CacheConfig(size=64 * 1024, assoc=1), backend=backend),
+                make_cache(CacheConfig(size=64 * 1024, assoc=1, backend=backend)),
+            ):
+                assert isinstance(cache, SetAssociativeCache)
+                assert cache.backend == backend
+                assert cache._kernel.name == backend
 
     def test_hierarchy_backend_propagates_to_both_levels(self):
         cache = make_cache(

@@ -12,17 +12,19 @@ Three structural invariants that must hold for *any* reference stream:
   remainder reproduces the unbudgeted run bit-for-bit. The simulation
   engine relies on this to deliver counter-overflow interrupts at the
   precise reference rather than at chunk granularity.
-* **direct-mapped equivalence** — the vectorised DirectMappedCache and
-  a 1-way SetAssociativeCache are the same machine: identical miss
-  masks, stats, and budget behaviour.
+* **direct-mapped equivalence** — a one-reference-at-a-time
+  direct-mapped model and a 1-way SetAssociativeCache on every kernel
+  backend are the same machine: identical miss masks, stats, and budget
+  behaviour.
 """
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cache import make_cache
 from repro.cache.config import CacheConfig
-from repro.cache.direct_mapped import DirectMappedCache
+from repro.cache.kernels import KERNEL_BACKENDS
 from repro.cache.policies import ReplacementPolicy
 from repro.cache.set_assoc import SetAssociativeCache
 
@@ -42,6 +44,17 @@ def line_streams(draw):
     max_line = draw(st.integers(N_SETS, N_SETS * 8))
     lines = draw(st.lists(st.integers(0, max_line), min_size=n, max_size=n))
     return np.asarray(lines, dtype=np.uint64) * np.uint64(LINE)
+
+
+def direct_mapped_misses(addrs):
+    """Miss mask of a direct-mapped cache, one reference at a time: a
+    reference hits iff its set still holds its line."""
+    resident: dict[int, int] = {}
+    misses = []
+    for line in (addrs // np.uint64(LINE)).tolist():
+        misses.append(resident.get(line % N_SETS) != line)
+        resident[line % N_SETS] = line
+    return np.asarray(misses, dtype=bool)
 
 
 class TestLRUInclusion:
@@ -105,40 +118,44 @@ class TestMissBudget:
     @settings(max_examples=40, deadline=None)
     @given(line_streams(), st.integers(1, 50))
     def test_budget_direct_mapped(self, addrs, budget):
-        reference = DirectMappedCache(config(1))
-        full = reference.access(addrs).miss_mask
-        total = int(full.sum())
+        for backend in KERNEL_BACKENDS:
+            reference = make_cache(config(1), backend=backend)
+            full = reference.access(addrs).miss_mask
+            total = int(full.sum())
 
-        cache = DirectMappedCache(config(1))
-        res = cache.access(addrs, miss_budget=budget)
-        if budget > total:
-            assert res.consumed == len(addrs)
-        else:
-            stop = int(np.flatnonzero(full)[budget - 1]) + 1
-            assert res.consumed == stop
-            assert int(res.miss_mask.sum()) == budget
-            rest = cache.access(addrs[stop:])
-            assert np.array_equal(rest.miss_mask, full[stop:])
+            cache = make_cache(config(1), backend=backend)
+            res = cache.access(addrs, miss_budget=budget)
+            if budget > total:
+                assert res.consumed == len(addrs), backend
+            else:
+                stop = int(np.flatnonzero(full)[budget - 1]) + 1
+                assert res.consumed == stop, backend
+                assert int(res.miss_mask.sum()) == budget, backend
+                rest = cache.access(addrs[stop:])
+                assert np.array_equal(rest.miss_mask, full[stop:]), backend
 
 
 class TestDirectMappedEquivalence:
     @settings(max_examples=60, deadline=None)
     @given(line_streams())
     def test_matches_one_way_set_assoc(self, addrs):
-        dm = DirectMappedCache(config(1))
-        sa = SetAssociativeCache(config(1))
-        dm_res = dm.access(addrs)
-        sa_res = sa.access(addrs)
-        assert np.array_equal(dm_res.miss_mask, sa_res.miss_mask)
-        assert dm.stats.misses == sa.stats.misses
-        assert dm.contents_line_count() == sa.contents_line_count()
+        want = direct_mapped_misses(addrs)
+        for backend in KERNEL_BACKENDS:
+            cache = make_cache(config(1), backend=backend)
+            res = cache.access(addrs)
+            assert np.array_equal(res.miss_mask, want), backend
+            assert cache.stats.misses == int(want.sum()), backend
+            touched = {int(a) // LINE % N_SETS for a in addrs}
+            assert cache.contents_line_count() == len(touched), backend
 
     @settings(max_examples=40, deadline=None)
     @given(line_streams(), st.integers(1, 30))
     def test_matches_one_way_under_budget(self, addrs, budget):
-        dm = DirectMappedCache(config(1))
-        sa = SetAssociativeCache(config(1))
-        dm_res = dm.access(addrs, miss_budget=budget)
-        sa_res = sa.access(addrs, miss_budget=budget)
-        assert dm_res.consumed == sa_res.consumed
-        assert np.array_equal(dm_res.miss_mask, sa_res.miss_mask)
+        want = direct_mapped_misses(addrs)
+        hits_budget = int(want.sum()) >= budget
+        stop = int(np.flatnonzero(want)[budget - 1]) + 1 if hits_budget else len(addrs)
+        for backend in KERNEL_BACKENDS:
+            cache = make_cache(config(1), backend=backend)
+            res = cache.access(addrs, miss_budget=budget)
+            assert res.consumed == stop, backend
+            assert np.array_equal(res.miss_mask, want[:stop]), backend

@@ -1,4 +1,6 @@
-"""Stack-distance pass: both backends against a brute-force oracle."""
+"""Stack-distance pass: the vectorised pass against two oracles, Olken's
+Fenwick-tree algorithm (``tests/mrc/olken.py``) and a brute-force LRU
+stack."""
 
 import numpy as np
 import pytest
@@ -7,16 +9,18 @@ from hypothesis import strategies as st
 
 from repro.cache.mrc import (
     COLD,
-    DISTANCE_BACKENDS,
     MrcError,
     lines_of,
-    prefix_rank_leq,
     previous_occurrence,
     reuse_distances,
     self_rank_leq,
 )
+from tests.mrc.olken import FenwickTree, olken_distances
 
 streams = st.lists(st.integers(0, 14), min_size=0, max_size=150)
+
+#: The production pass and the Olken oracle, each held to the stack.
+PASSES = {"sortmerge": reuse_distances, "fenwick": olken_distances}
 
 
 def naive_distances(lines):
@@ -40,40 +44,56 @@ class TestReuseDistances:
         assert d.tolist() == [COLD, COLD, COLD, 1, 2]
 
     def test_empty(self):
-        for backend in DISTANCE_BACKENDS:
-            assert len(reuse_distances(np.array([], dtype=np.int64), backend)) == 0
+        for distances in PASSES.values():
+            assert len(distances(np.array([], dtype=np.int64))) == 0
 
-    @pytest.mark.parametrize("backend", DISTANCE_BACKENDS)
+    @pytest.mark.parametrize("backend", list(PASSES))
     @settings(max_examples=60, deadline=None)
     @given(streams)
     def test_every_backend_matches_stack_oracle(self, backend, lines):
-        got = reuse_distances(np.asarray(lines, dtype=np.int64), backend)
+        got = PASSES[backend](np.asarray(lines, dtype=np.int64))
         assert got.tolist() == naive_distances(lines)
 
     @settings(max_examples=60, deadline=None)
     @given(streams)
     def test_backends_bit_identical(self, lines):
         codes = np.asarray(lines, dtype=np.int64)
-        results = [
-            reuse_distances(codes, backend).tolist()
-            for backend in DISTANCE_BACKENDS
-        ]
-        assert all(r == results[0] for r in results[1:])
+        assert reuse_distances(codes).tolist() == olken_distances(codes).tolist()
 
     def test_backends_bit_identical_large_random(self):
         rng = np.random.default_rng(3)
         codes = rng.integers(0, 5000, 60_000)
-        baseline = reuse_distances(codes, DISTANCE_BACKENDS[0])
-        for backend in DISTANCE_BACKENDS[1:]:
-            assert np.array_equal(baseline, reuse_distances(codes, backend))
-
-    def test_rejects_unknown_backend(self):
-        with pytest.raises(MrcError, match="unknown distance backend"):
-            reuse_distances(np.array([1, 2]), backend="quantum")
+        assert np.array_equal(reuse_distances(codes), olken_distances(codes))
 
     def test_rejects_2d(self):
         with pytest.raises(MrcError, match="1-D"):
             reuse_distances(np.zeros((2, 2), dtype=np.int64))
+
+
+class TestFenwick:
+    """The tree the Olken oracle builds on."""
+
+    def test_prefix_sums(self):
+        f = FenwickTree(10)
+        f.add(3, 5)
+        f.add(7, 2)
+        assert f.prefix_sum(2) == 0
+        assert f.prefix_sum(3) == 5
+        assert f.prefix_sum(9) == 7
+        assert f.prefix_sum(9) - f.prefix_sum(3) == 2
+        assert f.prefix_sum(99) == 7  # clamped to the last index
+
+    def test_negative_updates(self):
+        f = FenwickTree(5)
+        f.add(2, 3)
+        f.add(2, -3)
+        assert f.prefix_sum(4) == 0
+
+    def test_bounds(self):
+        with pytest.raises(IndexError):
+            FenwickTree(4).add(4, 1)
+        with pytest.raises(ValueError):
+            FenwickTree(-1)
 
 
 class TestLinesOf:
@@ -116,32 +136,3 @@ class TestSelfRankLeq:
         got = self_rank_leq(v)
         for t in rng.integers(0, len(v), 200):
             assert got[t] == int(np.sum(v[:t] <= v[t]))
-
-
-class TestPrefixRankLeq:
-    @settings(max_examples=50, deadline=None)
-    @given(
-        st.lists(st.integers(0, 30), min_size=1, max_size=80),
-        st.data(),
-    )
-    def test_matches_brute_force(self, values, data):
-        n = len(values)
-        n_queries = data.draw(st.integers(1, 20))
-        prefixes = data.draw(
-            st.lists(st.integers(0, n), min_size=n_queries, max_size=n_queries)
-        )
-        thresholds = data.draw(
-            st.lists(st.integers(0, 35), min_size=n_queries, max_size=n_queries)
-        )
-        got = prefix_rank_leq(
-            np.asarray(values), np.asarray(prefixes), np.asarray(thresholds)
-        )
-        brute = [
-            sum(1 for v in values[:p] if v <= t)
-            for p, t in zip(prefixes, thresholds)
-        ]
-        assert got.tolist() == brute
-
-    def test_rejects_negative_values(self):
-        with pytest.raises(MrcError, match="non-negative"):
-            prefix_rank_leq(np.array([-1]), np.array([1]), np.array([0]))

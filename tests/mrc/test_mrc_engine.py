@@ -5,11 +5,15 @@ import pytest
 
 from repro.cache.mrc import (
     MrcError,
+    StackDistanceHistogram,
     build_mrc,
+    expected_misses,
+    lines_of,
     mrc_from_addrs,
     select_verification_sizes,
 )
 from repro.workloads.registry import make_workload
+from tests.mrc.olken import olken_distances
 
 
 def interleaved_stream(objects, lines_each, repeats):
@@ -33,14 +37,18 @@ class TestMrcFromAddrs:
         for size in (4096, 65536, 1 << 20):
             assert exact.miss_ratio(size) == full.miss_ratio(size)
 
-    @pytest.mark.parametrize("backend", ("fenwick", "offline"))
-    def test_backends_agree_end_to_end(self, backend):
+    def test_matches_olken_oracle_end_to_end(self):
         rng = np.random.default_rng(2)
         addrs = rng.integers(0, 1 << 18, 30_000).astype(np.uint64)
-        a = mrc_from_addrs(addrs)  # default: sortmerge
-        b = mrc_from_addrs(addrs, distance_backend=backend)
+        res = mrc_from_addrs(addrs)
+        oracle = StackDistanceHistogram.from_distances(
+            olken_distances(lines_of(addrs, 64))
+        )
         for size in (4096, 32768, 262144):
-            assert a.misses(size) == b.misses(size)
+            for assoc in (None, 1, 4):
+                assert res.misses(size, assoc) == expected_misses(
+                    oracle, size // 64, assoc
+                )
 
     def test_empty_stream(self):
         res = mrc_from_addrs(np.empty(0, dtype=np.uint64))

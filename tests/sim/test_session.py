@@ -7,6 +7,8 @@ profiles and interrupt records of an uninterrupted ``Simulator.run``.
 """
 
 import pickle
+import sys
+import types
 
 import numpy as np
 import pytest
@@ -305,6 +307,48 @@ class TestSnapshotRestore:
         snap.version = SNAPSHOT_VERSION + 1
         snap.save(tmp_path / "x.snap")
         with pytest.raises(SimulationError, match="version"):
+            SessionSnapshot.load(tmp_path / "x.snap")
+
+    @pytest.mark.parametrize("keep", [0.0, 0.5, 0.99])
+    def test_load_rejects_truncated_file(self, tmp_path, keep):
+        session = make_sim().start_session(make_workload())
+        session.step()
+        path = session.snapshot().save(tmp_path / "x.snap")
+        data = path.read_bytes()
+        path.write_bytes(data[: int(len(data) * keep)])
+        with pytest.raises(SimulationError, match=r"cannot read snapshot .*x\.snap"):
+            SessionSnapshot.load(path)
+
+    @pytest.mark.parametrize(
+        ("gone", "error"),
+        [("module", "ModuleNotFoundError"), ("class", "AttributeError")],
+    )
+    def test_load_rejects_a_class_that_no_longer_exists(
+        self, tmp_path, monkeypatch, gone, error
+    ):
+        """A snapshot that pickled a since-deleted cache class (saved
+        while ``repro.cache.direct_mapped.DirectMappedCache`` existed)
+        fails naming the file and the unpickler's error."""
+        import repro.cache
+
+        class DirectMappedCache:
+            pass
+
+        if gone == "module":
+            home = types.ModuleType("repro.cache.direct_mapped")
+            monkeypatch.setitem(sys.modules, home.__name__, home)
+        else:
+            home = repro.cache
+        DirectMappedCache.__module__ = home.__name__
+        DirectMappedCache.__qualname__ = "DirectMappedCache"
+        monkeypatch.setattr(home, "DirectMappedCache", DirectMappedCache, raising=False)
+        session = make_sim().start_session(make_workload())
+        session.step()
+        snap = session.snapshot()
+        snap.cache = DirectMappedCache()
+        snap.save(tmp_path / "x.snap")
+        monkeypatch.undo()
+        with pytest.raises(SimulationError, match=rf"x\.snap: {error}"):
             SessionSnapshot.load(tmp_path / "x.snap")
 
     def test_restore_rejects_wrong_workload(self):
