@@ -9,9 +9,15 @@ quantity is the interleaved path's refs/sec: the interleaver, the
 shared-level port protocol and the shadow classifier all sit on the hot
 path, and this gate keeps per-chunk Python overhead from creeping in.
 
+Each pair runs once more over compiled streams (the ``/compiled``
+cases), which takes the fused multi-core path (DESIGN.md section 9);
+their anchor is the compiled single-core run of each co-runner. Those
+cases run on the array kernel, the one the fused path exists for.
+
 Correctness rides along: every repeat must be bit-identical (per-core
-stats and contention ledgers), and each core's self + contention split
-must conserve exactly against its observed shared-level misses.
+stats and contention ledgers), each core's self + contention split
+must conserve exactly against its observed shared-level misses, and a
+compiled case must reproduce its generator case exactly.
 
 Results land in ``BENCH_multicore.json`` at the repository root.
 
@@ -28,6 +34,7 @@ paths/multicore).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import time
 from pathlib import Path
@@ -36,6 +43,7 @@ from bench_env import environment
 
 from repro.cache import CacheConfig
 from repro.sim import MultiCoreSession, Simulator
+from repro.workloads.compile import compile_workload
 from repro.workloads.registry import make_workload
 
 SEED = 99
@@ -59,43 +67,66 @@ CASES = {
 }
 
 
+#: Kernel the compiled (fused-path) cases run on.
+COMPILED_BACKEND = "array"
+
+
 def fresh_workloads(specs: list[tuple[str, dict]]) -> list:
     """Streams are consumed by a run, so every repeat gets new ones."""
     return [make_workload(name, seed=SEED, **kwargs) for name, kwargs in specs]
 
 
-def time_solo(specs: list[tuple[str, dict]], repeats: int):
+def geometry(compiled: list | None) -> tuple[CacheConfig, CacheConfig]:
+    """(LLC, L1), on the compiled cases' kernel when streams are given."""
+    if compiled is None:
+        return LLC, L1
+    return (
+        dataclasses.replace(LLC, backend=COMPILED_BACKEND),
+        dataclasses.replace(L1, backend=COMPILED_BACKEND),
+    )
+
+
+def outcome(result) -> tuple:
+    """Per-core stats and contention ledgers (what must repeat exactly)."""
+    return tuple(
+        (core.stats, core.contention.ledger.snapshot()) for core in result.cores
+    )
+
+
+def time_solo(specs: list[tuple[str, dict]], repeats: int, compiled=None):
     """Best-of wall seconds (summed over cores) + total refs + misses."""
+    llc, l1 = geometry(compiled)
     best = [float("inf")] * len(specs)
     refs = misses = 0
     for rep in range(repeats):
         refs = misses = 0
         for i, (app, kwargs) in enumerate(specs):
             workload = make_workload(app, seed=SEED, **kwargs)
+            stream = None if compiled is None else compiled[i]
             t0 = time.perf_counter()
-            result = Simulator(LLC, l1_config=L1, seed=SEED).run(workload)
+            result = Simulator(llc, l1_config=l1, seed=SEED).run(
+                workload, compiled=stream
+            )
             best[i] = min(best[i], time.perf_counter() - t0)
             refs += result.stats.app_refs
             misses += result.cache_stats.misses
     return sum(best), refs, misses
 
 
-def time_multicore(specs: list[tuple[str, dict]], repeats: int):
+def time_multicore(specs: list[tuple[str, dict]], repeats: int, compiled=None):
     """Best-of wall seconds + the (determinism-checked) final result."""
+    llc, l1 = geometry(compiled)
     best, fingerprint, keep = float("inf"), None, None
     for _ in range(repeats):
         workloads = fresh_workloads(specs)
         t0 = time.perf_counter()
         session = MultiCoreSession.start(
-            workloads, llc_config=LLC, l1_config=L1, seed=SEED
+            workloads, llc_config=llc, l1_config=l1, seed=SEED, compiled=compiled
         )
         session.run()
         result = session.finalize()
         best = min(best, time.perf_counter() - t0)
-        got = tuple(
-            (core.stats, core.contention.ledger.snapshot())
-            for core in result.cores
-        )
+        got = outcome(result)
         if fingerprint is None:
             fingerprint, keep = got, result
         elif got != fingerprint:
@@ -112,14 +143,17 @@ def time_multicore(specs: list[tuple[str, dict]], repeats: int):
     return best, keep
 
 
-def bench_case(name: str, specs: list[tuple[str, dict]], repeats: int) -> dict:
-    solo_seconds, refs, solo_misses = time_solo(specs, repeats)
-    mc_seconds, result = time_multicore(specs, repeats)
+def bench_case(
+    name: str, specs: list[tuple[str, dict]], repeats: int, compiled=None
+) -> tuple[dict, object]:
+    solo_seconds, refs, solo_misses = time_solo(specs, repeats, compiled)
+    mc_seconds, result = time_multicore(specs, repeats, compiled)
     contention = sum(
         core.contention.ledger.contention_misses for core in result.cores
     )
     case = {
         "case": name,
+        "backend": geometry(compiled)[0].backend,
         "refs": int(refs),
         "paths": {
             "solo": {
@@ -136,7 +170,7 @@ def bench_case(name: str, specs: list[tuple[str, dict]], repeats: int) -> dict:
         },
         "slowdown_multicore_vs_solo": round(mc_seconds / solo_seconds, 2),
     }
-    return case
+    return case, result
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -152,11 +186,18 @@ def main(argv: list[str] | None = None) -> int:
 
     cases = []
     for name, specs in CASES.items():
-        case = bench_case(name, specs, args.repeats)
-        cases.append(case)
+        case, result = bench_case(name, specs, args.repeats)
+        streams = [compile_workload(w) for w in fresh_workloads(specs)]
+        fused, fused_result = bench_case(
+            f"{name}/compiled", specs, args.repeats, compiled=streams
+        )
+        if outcome(fused_result) != outcome(result):
+            raise AssertionError(f"{name}: compiled run differs from generator run")
+        cases += [case, fused]
+    for case in cases:
         mc = case["paths"]["multicore"]
         print(
-            f"{name:>16}: {case['refs']:>8,} refs  "
+            f"{case['case']:>25}: {case['refs']:>8,} refs  "
             f"solo {case['paths']['solo']['refs_per_sec']:>10,}/s  "
             f"multicore {mc['refs_per_sec']:>10,}/s  "
             f"(contention {mc['contention_misses']:,}, "

@@ -591,20 +591,7 @@ class Pipeline(CacheComponent):
             if miss_budget is not None
             else None
         )
-
-        def filter_down(chunk: np.ndarray):
-            """Run ``chunk`` through the upper levels; composed index."""
-            index: np.ndarray | None = None
-            for upper in uppers:
-                r = upper._chunk_access(chunk, victims=victims)
-                hit_through = np.flatnonzero(r.miss_mask)
-                index = (
-                    hit_through if index is None else index[hit_through]
-                )
-                chunk = chunk[hit_through]
-            return chunk, index
-
-        cur, index = filter_down(addrs)
+        cur, index = self._filter(addrs, victims)
         r_last = last._chunk_access(cur, miss_budget=miss_budget, victims=victims)
 
         consumed = n
@@ -627,15 +614,40 @@ class Pipeline(CacheComponent):
                     # commit misses for references never consumed
                     # (caught by the runtime sanitizer's ledger check).
                     upper.begin_stage()
-                filter_down(addrs[:consumed])
+                self._filter(addrs[:consumed], victims)
 
         if index is None:
             return r_last
-        miss_mask = np.zeros(consumed, dtype=bool)
-        miss_mask[index[r_last.miss_mask]] = True
-        return KernelResult(
-            miss_mask, consumed, r_last.misses, 0, 0, r_last.victims
-        )
+        miss_mask = self._lift(r_last.miss_mask, index, consumed)
+        return KernelResult(miss_mask, consumed, r_last.misses, 0, 0, r_last.victims)
+
+    def _filter(
+        self, addrs: np.ndarray, victims: bool = False
+    ) -> tuple[np.ndarray, np.ndarray | None]:
+        """Run ``addrs`` through the upper levels, staging their counts.
+
+        Returns the references that reach the last level and their
+        positions in ``addrs`` (None when there is no upper level).
+        """
+        index: np.ndarray | None = None
+        for upper in self.levels[:-1]:
+            r = upper._chunk_access(addrs, victims=victims)
+            hit_through = np.flatnonzero(r.miss_mask)
+            index = hit_through if index is None else index[hit_through]
+            addrs = addrs[hit_through]
+        return addrs, index
+
+    @staticmethod
+    def _lift(
+        miss_mask: np.ndarray, index: np.ndarray | None, n: int
+    ) -> np.ndarray:
+        """A last-level ``miss_mask`` over what :meth:`_filter` passed
+        down, as a mask over the ``n`` references it was given."""
+        if index is None:
+            return miss_mask
+        lifted = np.zeros(n, dtype=bool)
+        lifted[index[miss_mask]] = True
+        return lifted
 
     def access(
         self,
@@ -711,9 +723,11 @@ class SharedCacheLevel:
     the sanitizer additionally proves the aggregate ledger equals the
     sum of the port ledgers at every commit boundary.
 
-    Cores interleave *sequentially* (the multi-core session steps one
-    core at a time), so the leaf's staged counters are only ever owned
-    by one port between ``begin_stage`` and ``commit_stage``.
+    Each port records its own share of the leaf's traffic into the
+    aggregate ledger when it commits, so the aggregate equals the sum of
+    the port ledgers at every commit, whether one leaf call served one
+    core's chunk (stepping) or a whole multi-core window of several
+    cores' references (the fused path, DESIGN.md section 9).
     """
 
     def __init__(self, leaf: CacheComponent) -> None:
@@ -799,13 +813,17 @@ class SharedLevelPort(CacheComponent):
         self.shadow.begin_stage()
 
     def commit_stage(self, tag: str, accesses: int) -> None:
-        self.stats.record(
-            tag,
-            accesses,
-            self._staged_misses,
-            writebacks=self._staged_writebacks,
-            prefetches=self._staged_prefetches,
-        )
+        # The port records its share into the aggregate ledger as well:
+        # one leaf call can serve several ports (a fused multi-core
+        # window), so the leaf's own staged counts are not one port's.
+        for stats in (self.stats, self.shared_level.stats):
+            stats.record(
+                tag,
+                accesses,
+                self._staged_misses,
+                writebacks=self._staged_writebacks,
+                prefetches=self._staged_prefetches,
+            )
         self.contention.record(
             tag, self._staged_self, self._staged_contention, self._staged_rescued
         )
@@ -813,7 +831,6 @@ class SharedLevelPort(CacheComponent):
         # ledger is committed with that count — internally consistent,
         # but not part of the port/aggregate conservation identity.
         self.shadow.commit_stage(tag, self._staged_shadow_consumed)
-        self.shared_level.leaf.commit_stage(tag, accesses)
         self._staged_misses = 0
         self._staged_writebacks = 0
         self._staged_prefetches = 0
@@ -843,12 +860,18 @@ class SharedLevelPort(CacheComponent):
         res = self.shared_level.leaf._chunk_access(
             addrs, miss_budget=miss_budget, writes=writes
         )
+        self._classify(np.asarray(addrs[: res.consumed], dtype=np.uint64), res)
+        return res
+
+    def _classify(self, refs: np.ndarray, res: KernelResult) -> None:
+        """Stage the shared leaf's result ``res`` over ``refs`` (this
+        core's references it consumed) and split its misses into self
+        and contention against the solo shadow."""
         self._staged_misses += res.misses
         self._staged_writebacks += res.writebacks
         self._staged_prefetches += res.prefetches
-        prefix = np.asarray(addrs[: res.consumed], dtype=np.uint64)
-        shadow_res = self.shadow._chunk_access(prefix)
-        self._staged_shadow_consumed += res.consumed
+        shadow_res = self.shadow._chunk_access(refs)
+        self._staged_shadow_consumed += len(refs)
         shared_miss = res.miss_mask
         shadow_miss = shadow_res.miss_mask
         self_mask = shared_miss & shadow_miss
@@ -858,9 +881,8 @@ class SharedLevelPort(CacheComponent):
         self._staged_rescued += int((~shared_miss & shadow_miss).sum())
         if self_mask.any() or contention_mask.any():
             self._pending_classified.append(
-                (prefix[self_mask], prefix[contention_mask])
+                (refs[self_mask], refs[contention_mask])
             )
-        return res
 
     def access(
         self,

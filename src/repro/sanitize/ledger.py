@@ -120,9 +120,9 @@ def _check_shared_port(component: object, label: str) -> None:
     port miss is classified exactly one way, so self + contention equals
     the port ledger's misses, in total and per tag; (b) the *aggregate
     sum* identity — the shared leaf's ledger equals the element-wise sum
-    of every port's ledger, per counter and per tag, because cores
-    interleave sequentially and each leaf commit belongs to exactly one
-    port.
+    of every port's ledger, per counter and per tag, because each port
+    records its own share into the aggregate when it commits (one leaf
+    call may serve several ports in a fused multi-core window).
     """
     count_check("ledger.shared_port")
     port_stats = component.stats

@@ -565,16 +565,24 @@ class SimulationSession:
         even under RANDOM: decorators ask every kernel in their stack for
         per-miss victims, and such calls refill the pool only when it
         runs empty, so draws depend on the eviction count alone.
+
+        Every kernel is found by walking pipeline ``levels`` and, for a
+        shared-level port, its shared leaf and solo shadow.
         """
         from repro.cache.policies import ReplacementPolicy
 
         if self.cache.config.mechanisms:
             return True
-        configs = [self.cache.config]
-        l1 = getattr(self.cache, "l1_config", None)
-        if l1 is not None:
-            configs.append(l1)
-        return all(c.policy is not ReplacementPolicy.RANDOM for c in configs)
+        parts = [self.cache]
+        while parts:
+            part = parts.pop()
+            if hasattr(part, "levels"):
+                parts.extend(part.levels)
+            elif hasattr(part, "shared_level"):
+                parts += [part.shared_level.leaf, part.shadow]
+            elif part.config.policy is ReplacementPolicy.RANDOM:
+                return False
+        return True
 
     def _run_fused(self) -> None:
         """Drive the whole compiled stream through the cache in bulk.
@@ -601,34 +609,61 @@ class SimulationSession:
                         addrs[lo:hi],
                         writes[lo:hi] if writes is not None else None,
                     )
-            carry = self._cycle_carry
-            cycles = 0
             for n_refs, cycles_per_ref, extra_cycles in pieces:
-                pos = 0
-                while pos < n_refs:
-                    take = min(chunk_size, n_refs - pos)
-                    exact = take * cycles_per_ref + carry
-                    whole = int(exact)
-                    carry = exact - whole
-                    cycles += whole
-                    pos += take
-                cycles += extra_cycles
-            self._cycle_carry = carry
-            self.clock.advance_app(cycles)
-        self._blocks_fetched = len(compiled.blocks)
-        self._blocks = iter(())
-        self._exhausted = True
+                for lo in range(0, n_refs, chunk_size):
+                    self._advance(min(chunk_size, n_refs - lo), cycles_per_ref)
+                self.clock.advance_app(extra_cycles)
+        self._close_stream()
 
     def _fused_access(
         self, addrs: np.ndarray, writes: np.ndarray | None
     ) -> None:
         result = self.cache.access(addrs, miss_budget=None, tag="app", writes=writes)
-        miss_addrs = addrs[result.miss_mask]
+        self._account(addrs, result.miss_mask)
+
+    def _fused_chunks(self) -> Iterator[np.ndarray]:
+        """The compiled stream cut into :meth:`step`'s chunks, for a fused
+        multi-core run: each chunk's cycles are charged as it is handed
+        out, and each block's fixed cycles once it is used up."""
+        assert self._compiled is not None
+        for block in self._compiled.blocks:
+            for lo in range(0, len(block), self.chunk_size):
+                chunk = block.addrs[lo : lo + self.chunk_size]
+                self._advance(len(chunk), block.cycles_per_ref)
+                yield chunk
+            self.clock.advance_app(block.extra_cycles)
+        self._close_stream()
+
+    def _close_stream(self) -> None:
+        """Leave the cursor where stepping a fused stream to its end would."""
+        assert self._compiled is not None
+        self._blocks_fetched = len(self._compiled.blocks)
+        self._blocks = iter(())
+        self._exhausted = True
+
+    # ---------------------------------------------------- chunk accounting
+
+    def _account(self, refs: np.ndarray, miss_mask: np.ndarray) -> np.ndarray:
+        """Count ``refs`` as simulated and feed their misses (``miss_mask``
+        over ``refs``) to the monitor and ground truth; returns the miss
+        addresses."""
+        miss_addrs = refs[miss_mask]
         self.monitor.observe(miss_addrs)
         if self.ground_truth is not None:
             self.ground_truth.observe(miss_addrs, cycle=self.clock.now)
-        self.stats.app_refs += result.consumed
-        self.stats.app_misses += result.n_misses
+        self.stats.app_refs += len(refs)
+        self.stats.app_misses += len(miss_addrs)
+        return miss_addrs
+
+    def _advance(self, n_refs: int, cycles_per_ref: float) -> None:
+        """Charge one chunk's ``n_refs`` references to the clock, carrying
+        the fractional cycle into the next chunk (the carry does not
+        telescope across chunk splits, so every path replays it per
+        :meth:`step` chunk)."""
+        exact = n_refs * cycles_per_ref + self._cycle_carry
+        cycles = int(exact)
+        self._cycle_carry = exact - cycles
+        self.clock.advance_app(cycles)
 
     # ---------------------------------------------------------- chunk body
 
@@ -672,17 +707,8 @@ class SimulationSession:
             chunk, miss_budget=miss_budget, tag="app", writes=chunk_writes
         )
         consumed = result.consumed
-        miss_addrs = chunk[:consumed][result.miss_mask]
-        self.monitor.observe(miss_addrs)
-        if self.ground_truth is not None:
-            self.ground_truth.observe(miss_addrs, cycle=self.clock.now)
-
-        exact = consumed * block.cycles_per_ref + self._cycle_carry
-        cycles = int(exact)
-        self._cycle_carry = exact - cycles
-        self.clock.advance_app(cycles)
-        self.stats.app_refs += consumed
-        self.stats.app_misses += result.n_misses
+        miss_addrs = self._account(chunk[:consumed], result.miss_mask)
+        self._advance(consumed, block.cycles_per_ref)
         self._pos += consumed
         if self._refs_left is not None:
             self._refs_left -= consumed
@@ -691,7 +717,7 @@ class SimulationSession:
             event = ChunkEvent(
                 cycle=self.clock.now,
                 app_refs=consumed,
-                n_misses=result.n_misses,
+                n_misses=len(miss_addrs),
                 miss_addrs=miss_addrs,
                 block_label=block.label,
                 total_app_refs=self.stats.app_refs,
@@ -1275,7 +1301,22 @@ class MultiCoreSession:
         ``checkpoint_every_refs`` invokes ``on_checkpoint(snapshot)``
         each time the *combined* reference count crosses another
         multiple, mirroring the single-core run loop's cadence.
+
+        When every core could take the single-core bulk path and every
+        cache level is LRU or FIFO, the run goes through
+        :meth:`_run_fused` instead of stepping (DESIGN.md section 9).
         """
+        if (
+            max_steps is None
+            and checkpoint_every_refs is None
+            and all(
+                core.session._fused_ready()
+                and core.session._chunk_invariant_kernels()
+                for core in self.cores
+            )
+        ):
+            self._run_fused()
+            return
         next_checkpoint: int | None = None
         if checkpoint_every_refs is not None:
             if checkpoint_every_refs <= 0:
@@ -1291,6 +1332,83 @@ class MultiCoreSession:
                 if total >= next_checkpoint:
                     on_checkpoint(self.snapshot())
                     next_checkpoint = total + checkpoint_every_refs
+
+    # ----------------------------------------------------------- fused path
+
+    def _run_fused(self) -> None:
+        """Walk the grant schedule :meth:`step` would produce — the same
+        ``ratio`` grants of the same chunks, exhausted cores dropped —
+        in windows of whole grants holding at most ``chunk_size``
+        references (a single larger grant is a window of its own)."""
+        from itertools import islice
+
+        streams = [core.session._fused_chunks() for core in self.cores]
+        live = list(self.cores)
+        window: list[tuple[CoreContext, list[np.ndarray]]] = []
+        size = 0
+        while live:
+            for core in list(live):
+                grant = list(islice(streams[core.core_id], core.ratio))
+                if not grant:
+                    live.remove(core)
+                    continue
+                refs = sum(map(len, grant))
+                if window and size + refs > self.chunk_size:
+                    self._fused_window(window)
+                    window, size = [], 0
+                window.append((core, grant))
+                size += refs
+        if window:
+            self._fused_window(window)
+
+    def _fused_window(
+        self, window: list[tuple[CoreContext, list[np.ndarray]]]
+    ) -> None:
+        """Run one window through every cache level once: each core's
+        private levels over its own grants, the shared leaf over the
+        post-L1 pieces in grant order, and each shadow over its core's
+        post-L1 references. Ledgers, monitor, ground truth and tallies
+        then take one commit per core."""
+        from repro.cache.kernels.base import KernelResult
+
+        chunks: dict[int, list[np.ndarray]] = {}
+        grants: list[tuple[int, int, int]] = []  # (core, first ref, end)
+        for core, grant in window:
+            mine = chunks.setdefault(core.core_id, [])
+            start = sum(map(len, mine))
+            mine += grant
+            grants.append((core.core_id, start, start + sum(map(len, grant))))
+        refs, post, index = {}, {}, {}
+        for cid, mine in chunks.items():
+            pipeline = self.cores[cid].session.cache
+            pipeline.begin_stage()
+            refs[cid] = np.concatenate(mine)
+            post[cid], index[cid] = pipeline._filter(refs[cid])
+        pieces, owners = [], []
+        for cid, start, end in grants:
+            if index[cid] is not None:
+                start, end = np.searchsorted(index[cid], (start, end))
+            pieces.append(post[cid][start:end])
+            owners.append(np.full(end - start, cid))
+        leaf = self.shared_level.leaf._chunk_access(np.concatenate(pieces))
+        owner = np.concatenate(owners)
+        for cid in chunks:
+            core = self.cores[cid]
+            # No writebacks or prefetches to split: pipelines drop write
+            # masks and shared leaves never prefetch.
+            shared_miss = leaf.miss_mask[owner == cid]
+            core.port._classify(
+                post[cid],
+                KernelResult(
+                    shared_miss, len(shared_miss), int(shared_miss.sum()), 0, 0
+                ),
+            )
+            pipeline = core.session.cache
+            pipeline.commit_stage("app", len(refs[cid]))
+            core.session._account(
+                refs[cid], pipeline._lift(shared_miss, index[cid], len(refs[cid]))
+            )
+            self._attribute(core)
 
     # ---------------------------------------------------------- attribution
 

@@ -6,18 +6,32 @@ The refactor contract (DESIGN.md section 13): a 1-core
 N-core case every shared-level miss is classified exactly one way (self
 vs contention) with per-(core, object) counts that conserve against the
 port ledgers.
+
+The fused path (DESIGN.md section 9) must leave a compiled run exactly
+as stepping it leaves it; ``while session.step()`` is the oracle.
 """
 
 from __future__ import annotations
 
+import os
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro import sanitize
 from repro.cache import CacheConfig
+from repro.cache.components import SharedLevelPort
+from repro.cache.policies import ReplacementPolicy
+from repro.core.sampling import SamplingProfiler
 from repro.errors import CacheConfigError, SimulationError
+from repro.sanitize import SanitizerError
 from repro.sim import CoreRateObserver, MultiCoreSession, Simulator
 from repro.sim.blocks import ReferenceBlock
 from repro.sim.session import SimulationSession
+from repro.workloads.compile import compile_workload
 from repro.workloads.registry import SPEC_WORKLOADS, make_workload
 from repro.workloads.trace import TraceWorkload
 
@@ -61,6 +75,22 @@ class TestOneCoreBitIdentity:
             == core.cache_stats.misses
             == single.cache_stats.misses
         )
+
+    @pytest.mark.parametrize("app", sorted(SPEC_WORKLOADS))
+    def test_compiled_every_registry_workload(self, app, quick_runner):
+        stream = compile_workload(quick_workload(app, quick_runner))
+        single = Simulator(LLC, l1_config=L1, seed=SEED).run(
+            quick_workload(app, quick_runner), compiled=stream
+        )
+        with spy_fused() as fused:
+            multi = run_multi([quick_workload(app, quick_runner)], compiled=[stream])
+        assert fused.call_count == 1
+        core = multi.cores[0]
+        assert core.stats == single.stats
+        assert core.actual.table() == single.actual.table()
+        assert core.component_stats == single.component_stats
+        assert core.contention.ledger.self_misses == single.cache_stats.misses
+        assert core.contention.ledger.contention_misses == 0
 
     def test_aggregate_equals_the_single_core(self, quick_runner):
         single = run_single(quick_workload("compress", quick_runner))
@@ -256,3 +286,276 @@ class TestValidationAndObservers:
             assert miss_rate == pytest.approx(
                 core.stats.app_misses / core.stats.app_refs
             )
+
+
+# ---------------------------------------------------------------- fused path
+
+#: Fused-path runs use the kernel the CI leg selects (the array kernel,
+#: the one the fast path exists for, by default).
+BACKEND = os.environ.get("REPRO_BACKEND") or "array"
+FUSED_LLCS = (16 * 1024, 64 * 1024)
+TRACE_BASE = 0x1_2000_0000  # data-segment base
+TRACE_LINES = 1024
+
+
+class CompiledTrace(TraceWorkload):
+    """A synthetic trace that compiles like a registry workload: its
+    blocks are a function of ``n_blocks`` and ``seed``, which the stream
+    fingerprint reads back, rather than of a file. It opens with an
+    empty block and mixes non-dyadic cycle costs and block overheads,
+    so the fused path's cursor and cycle carry are exercised."""
+
+    compiled_stream_safe = True
+
+    def __init__(self, n_blocks: int = 10, seed: int | None = None) -> None:
+        rng = np.random.default_rng(seed)
+        blocks = [ReferenceBlock(addrs=np.zeros(0), extra_cycles=5)]
+        for i in range(n_blocks):
+            lines = rng.integers(0, TRACE_LINES, int(rng.integers(100, 2500)))
+            blocks.append(
+                ReferenceBlock(
+                    addrs=TRACE_BASE + lines.astype(np.uint64) * np.uint64(64),
+                    cycles_per_ref=1.3 + i % 3,
+                    extra_cycles=i,
+                )
+            )
+        super().__init__(
+            blocks, layout={"arena": (TRACE_BASE, TRACE_LINES * 64)}, seed=seed
+        )
+        self.n_blocks = n_blocks
+
+
+FUSED_APPS = {
+    "compress": lambda: make_workload("compress", seed=SEED, input_lines=1000),
+    "mgrid": lambda: make_workload(
+        "mgrid", seed=SEED, n_vcycles=2, fine_lines=1200
+    ),
+    "tomcatv": lambda: make_workload(
+        "tomcatv", seed=SEED, n_steps=2, rows_per_step=4
+    ),
+    "trace": lambda: CompiledTrace(seed=SEED),
+}
+_STREAMS: dict = {}
+
+
+def compiled_for(app: str):
+    """The app's compiled stream, compiled once per test process."""
+    if app not in _STREAMS:
+        _STREAMS[app] = compile_workload(FUSED_APPS[app]())
+    return _STREAMS[app]
+
+
+def spy_fused():
+    """Patch the multi-core fused entry point with a call-counting spy."""
+    return mock.patch.object(
+        MultiCoreSession,
+        "_run_fused",
+        autospec=True,
+        side_effect=MultiCoreSession._run_fused,
+    )
+
+
+def fused_session(
+    apps,
+    ratios=None,
+    l1=True,
+    llc=FUSED_LLCS[0],
+    chunk_size=1000,
+    llc_policy=ReplacementPolicy.LRU,
+    l1_policy=ReplacementPolicy.LRU,
+    **kwargs,
+):
+    return MultiCoreSession.start(
+        [FUSED_APPS[app]() for app in apps],
+        llc_config=CacheConfig(size=llc, assoc=4, policy=llc_policy, backend=BACKEND),
+        l1_config=(
+            CacheConfig(size=4 * 1024, assoc=4, policy=l1_policy, backend=BACKEND)
+            if l1
+            else None
+        ),
+        seed=SEED,
+        ratios=ratios,
+        chunk_size=chunk_size,
+        compiled=[compiled_for(app) for app in apps],
+        **kwargs,
+    )
+
+
+def stepped(session) -> MultiCoreSession:
+    while session.step():
+        pass
+    return session
+
+
+def outcome(session) -> list:
+    """Everything a finished run reports or keeps: the aggregate's and
+    every core's stats, cache and component ledgers, contention ledger
+    and per-object maps, plus each core's monitor, clock, cycle carry,
+    shadow ledger and final cache contents."""
+    result = session.finalize()
+    out = []
+    for unit in [result, *result.cores]:
+        profile = unit.contention
+        out.append(
+            (
+                unit.stats,
+                unit.cache_stats,
+                unit.component_stats,
+                profile.ledger.snapshot(),
+                profile.self_by_object,
+                profile.contention_by_object,
+                profile.unattributed_self,
+                profile.unattributed_contention,
+                None if unit.actual is None else unit.actual.table(),
+            )
+        )
+    for core in session.cores:
+        monitor = core.session.monitor
+        out.append(
+            (
+                monitor.total_misses_observed,
+                monitor.global_counter.value,
+                monitor.last_miss_addr,
+                monitor.recent_miss_addrs,
+                core.session.clock.now,
+                core.session._cycle_carry,
+                core.port.shadow.stats,
+                [
+                    contents(level)
+                    for level in (
+                        *core.session.cache.levels[:-1],
+                        core.port.shared_level.leaf,
+                        core.port.shadow,
+                    )
+                ],
+            )
+        )
+    return out
+
+
+def contents(cache) -> list:
+    """Every set's resident lines in replacement order (the kernels'
+    internal layout may differ with how the stream was cut into calls)."""
+    return [cache.lines_in_set(s) for s in range(cache.config.n_sets)]
+
+
+@st.composite
+def co_runner_grids(draw):
+    """1-3 compiled co-runners (one a trace), ratios 1-3, L1 on or off,
+    two LLC sizes, and chunk sizes that split blocks."""
+    n = draw(st.integers(min_value=1, max_value=3))
+    apps = draw(st.lists(st.sampled_from(sorted(FUSED_APPS)), min_size=n, max_size=n))
+    if "trace" not in apps:
+        apps[draw(st.integers(min_value=0, max_value=n - 1))] = "trace"
+    return {
+        "apps": apps,
+        "ratios": draw(st.lists(st.integers(1, 3), min_size=n, max_size=n)),
+        "l1": draw(st.booleans()),
+        "llc": draw(st.sampled_from(FUSED_LLCS)),
+        "chunk_size": draw(st.integers(min_value=200, max_value=4000)),
+    }
+
+
+class TestFusedPath:
+    @settings(max_examples=25, deadline=None)
+    @given(grid=co_runner_grids())
+    def test_fused_run_equals_stepping(self, grid):
+        with spy_fused() as fused:
+            session = fused_session(**grid)
+            session.run()
+        assert fused.call_count == 1
+        assert outcome(session) == outcome(stepped(fused_session(**grid)))
+
+    @pytest.mark.parametrize("level", ["l1", "llc"])
+    def test_random_level_keeps_stepping(self, level):
+        random = ReplacementPolicy.RANDOM
+        policy = {"l1_policy" if level == "l1" else "llc_policy": random}
+        apps = ["compress", "trace"]
+        session = fused_session(apps, **policy)
+        assert not session.cores[0].session._chunk_invariant_kernels()
+        with spy_fused() as fused:
+            session.run()
+        assert fused.call_count == 0
+        assert outcome(session) == outcome(stepped(fused_session(apps, **policy)))
+
+    @pytest.mark.parametrize(
+        "setup",
+        ["tool", "observer", "max_refs", "series", "checkpoint", "max_steps", "restored"],
+    )
+    def test_everything_else_keeps_stepping(self, setup):
+        apps = ["compress", "trace"]
+        start = {
+            "observer": {"observers": [CoreRateObserver()]},
+            "max_refs": {"max_refs": 5000},
+            "series": {"series_bucket_cycles": 50_000},
+        }.get(setup, {})
+
+        def session_for():
+            session = fused_session(apps, ratios=[2, 1], **start)
+            if setup == "tool":
+                session.attach(SamplingProfiler(period=53))
+            return session
+
+        session = session_for()
+        with spy_fused() as fused:
+            if setup == "checkpoint":
+                # One checkpoint, halfway: a later one could find a core
+                # already exhausted, which snapshots refuse.
+                half = sum(compiled_for(app).n_refs for app in apps) // 2
+                snaps = []
+                session.run(checkpoint_every_refs=half, on_checkpoint=snaps.append)
+                assert len(snaps) == 1
+            elif setup == "max_steps":
+                session.run(max_steps=3)
+                session.run()
+            elif setup == "restored":
+                for _ in range(3):
+                    session.step()
+                session = MultiCoreSession.restore(
+                    session.snapshot(),
+                    [FUSED_APPS[app]() for app in apps],
+                    compiled=[compiled_for(app) for app in apps],
+                )
+                session.run()
+            else:
+                session.run()
+        assert fused.call_count == 0
+        assert outcome(session) == outcome(stepped(session_for()))
+
+
+@pytest.fixture
+def sanitized():
+    was_active = sanitize.is_active()
+    sanitize.activate()
+    yield
+    if not was_active:
+        sanitize.deactivate()
+
+
+class TestFusedSanitizer:
+    def test_fused_run_reproves_the_port_identities(self, sanitized):
+        sanitize.reset_checks()
+        session = fused_session(["compress", "trace"])
+        with spy_fused() as fused:
+            session.run()
+        assert fused.call_count == 1
+        assert sanitize.checks_run().get("ledger.shared_port", 0) > 0
+        # The pair contends, so the identities had both classes to check.
+        assert session.finalize().contention.ledger.contention_misses > 0
+
+    def test_dropped_classified_miss_is_caught(self, sanitized):
+        original = SharedLevelPort._classify
+        dropped = []
+
+        def drop_one(port, refs, res):
+            original(port, refs, res)
+            if not dropped and port._staged_self:
+                port._staged_self -= 1
+                dropped.append(port.core_id)
+
+        with spy_fused() as fused, mock.patch.object(
+            SharedLevelPort, "_classify", autospec=True, side_effect=drop_one
+        ):
+            with pytest.raises(SanitizerError, match="classif"):
+                fused_session(["compress", "trace"]).run()
+        assert fused.call_count == 1 and dropped
