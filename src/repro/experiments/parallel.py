@@ -432,41 +432,21 @@ def execute_task(
 
     Specs with ``sim.multicore`` run the workload and its co-runners
     through a :class:`~repro.sim.session.MultiCoreSession` instead of a
-    :class:`~repro.sim.engine.Simulator` — same checkpoint/resume and
-    stream-compilation contract, one aggregate result with per-core
-    results (and contention profiles) in ``result.cores``.
+    :class:`~repro.sim.engine.Simulator` — the same flow, one aggregate
+    result with per-core results (and contention profiles) in
+    ``result.cores``. Only the way the session is opened differs.
     """
-    if spec.sim.multicore is not None:
-        return _execute_multicore(spec, checkpoint, stream_cache_dir)
-    workload = make_workload(spec.workload, seed=spec.seed, **spec.workload_kwargs)
-    compiled = None
-    if spec.sim.compile_streams:
-        try:
-            compiled = compiled_stream_for(workload, stream_cache_dir)
-        except StreamCompileError:
-            compiled = None
-    session: SimulationSession | None = None
+    open_session = _open_multicore if spec.sim.multicore is not None else _open_single
     key = spec.key() if checkpoint is not None else None
-    if checkpoint is not None:
-        snapshot = checkpoint.load(key)
-        if snapshot is not None:
-            try:
-                session = SimulationSession.restore(
-                    snapshot, workload, compiled=compiled
-                )
-            except SimulationError:
-                checkpoint.discard(key)
-                session = None
+    snapshot = checkpoint.load(key) if checkpoint is not None else None
+    session = None
+    if snapshot is not None:
+        try:
+            session = open_session(spec, stream_cache_dir, snapshot)
+        except SimulationError:
+            checkpoint.discard(key)
     if session is None:
-        simulator = spec.sim.build(spec.seed)
-        tool = spec.tool.build() if spec.tool is not None else None
-        session = simulator.start_session(
-            workload,
-            tool=tool,
-            series_bucket_cycles=spec.series_bucket_cycles,
-            max_refs=spec.max_refs,
-            compiled=compiled,
-        )
+        session = open_session(spec, stream_cache_dir, None)
     if checkpoint is not None:
         session.run(
             checkpoint_every_refs=checkpoint.every_refs,
@@ -480,18 +460,45 @@ def execute_task(
     return strip_result(result)
 
 
-def _execute_multicore(
-    spec: TaskSpec,
-    checkpoint: CheckpointPolicy | None = None,
-    stream_cache_dir: str | None = None,
-) -> RunResult:
-    """Multi-core arm of :func:`execute_task` (see its docstring).
+def _compiled(workload, spec: TaskSpec, stream_cache_dir: str | None):
+    """The workload's compiled stream when the spec asks for one and the
+    workload compiles, else None (the generator path)."""
+    if not spec.sim.compile_streams:
+        return None
+    try:
+        return compiled_stream_for(workload, stream_cache_dir)
+    except StreamCompileError:
+        return None
+
+
+def _open_single(
+    spec: TaskSpec, stream_cache_dir: str | None, snapshot: SessionSnapshot | None
+) -> SimulationSession:
+    """The single-core session for ``spec``: resumed from ``snapshot``
+    when one is given, else started fresh with the spec's tool."""
+    workload = make_workload(spec.workload, seed=spec.seed, **spec.workload_kwargs)
+    compiled = _compiled(workload, spec, stream_cache_dir)
+    if snapshot is not None:
+        return SimulationSession.restore(snapshot, workload, compiled=compiled)
+    return spec.sim.build(spec.seed).start_session(
+        workload,
+        tool=spec.tool.build() if spec.tool is not None else None,
+        series_bucket_cycles=spec.series_bucket_cycles,
+        max_refs=spec.max_refs,
+        compiled=compiled,
+    )
+
+
+def _open_multicore(
+    spec: TaskSpec, stream_cache_dir: str | None, snapshot: SessionSnapshot | None
+) -> MultiCoreSession:
+    """The multi-core session for ``spec`` (see :func:`_open_single`).
 
     Every core's workload is built with the task seed — co-runner
     determinism comes from the spec, not from per-core seed plumbing.
     Compiled streams are compiled per workload *unshifted* (so the
     stream cache is shared with single-core runs of the same workload);
-    :meth:`MultiCoreSession.start` applies the per-core relocation.
+    the session applies the per-core relocation.
     """
     mc = spec.sim.multicore
     assert mc is not None
@@ -505,57 +512,27 @@ def _execute_multicore(
     ]
     for name, kwargs in zip(mc.co_runners, mc.co_runner_kwargs):
         workloads.append(make_workload(name, seed=spec.seed, **kwargs))
-    compiled: list | None = None
-    if spec.sim.compile_streams:
-        compiled = []
-        for workload in workloads:
-            try:
-                compiled.append(compiled_stream_for(workload, stream_cache_dir))
-            except StreamCompileError:
-                compiled.append(None)
-    tool = spec.tool.build() if spec.tool is not None else None
-
-    session: MultiCoreSession | None = None
-    key = spec.key() if checkpoint is not None else None
-    if checkpoint is not None:
-        snapshot = checkpoint.load(key)
-        if snapshot is not None:
-            try:
-                session = MultiCoreSession.restore(
-                    snapshot, workloads, compiled=compiled
-                )
-            except SimulationError:
-                checkpoint.discard(key)
-                session = None
-    if session is None:
-        session = MultiCoreSession.start(
-            workloads,
-            llc_config=spec.sim.cache,
-            l1_config=spec.sim.l1,
-            backend=None,
-            seed=spec.seed,
-            n_region_counters=spec.sim.n_region_counters,
-            multiplexed_counters=spec.sim.multiplexed_counters,
-            cost_model=spec.sim.cost_model,
-            chunk_size=spec.sim.chunk_size,
-            series_bucket_cycles=spec.series_bucket_cycles,
-            max_refs=spec.max_refs,
-            ratios=mc.ratios,
-            compiled=compiled,
-        )
-        if tool is not None:
-            session.attach(tool)
-    if checkpoint is not None:
-        session.run(
-            checkpoint_every_refs=checkpoint.every_refs,
-            on_checkpoint=lambda snap: checkpoint.save(key, snap),
-        )
-    else:
-        session.run()
-    result = session.finalize()
-    if checkpoint is not None:
-        checkpoint.discard(key)
-    return strip_result(result)
+    compiled = [_compiled(workload, spec, stream_cache_dir) for workload in workloads]
+    if snapshot is not None:
+        return MultiCoreSession.restore(snapshot, workloads, compiled=compiled)
+    session = MultiCoreSession.start(
+        workloads,
+        llc_config=spec.sim.cache,
+        l1_config=spec.sim.l1,
+        backend=None,
+        seed=spec.seed,
+        n_region_counters=spec.sim.n_region_counters,
+        multiplexed_counters=spec.sim.multiplexed_counters,
+        cost_model=spec.sim.cost_model,
+        chunk_size=spec.sim.chunk_size,
+        series_bucket_cycles=spec.series_bucket_cycles,
+        max_refs=spec.max_refs,
+        ratios=mc.ratios,
+        compiled=compiled,
+    )
+    if spec.tool is not None:
+        session.attach(spec.tool.build())
+    return session
 
 
 def _timed_execute(

@@ -4,10 +4,12 @@ A checkpoint is only as good as what ``pickle`` preserves: an object
 whose ``__reduce__`` silently drops state produces a snapshot that
 *loads* fine and then resumes a subtly different run. Before a snapshot
 is trusted (returned to the caller / written to disk), the canary
-roundtrips it once more and compares what must survive:
+roundtrips it once more and compares what must survive, for the
+snapshot's format stamp and round-robin pointer and for *every* core:
 
-* the scalar resume cursor (version, workload name, block cursor,
-  cycle carry, refs budget, chunk size);
+* the resume cursor (workload name, block cursor, cycle carry, refs
+  budget, chunk size), the interleaver weight and the per-object
+  contention tallies;
 * the run statistics scalars;
 * the cache: ledger equality (``CacheStats`` compares field-wise) and
   state cardinalities (resident and dirty line counts).
@@ -24,15 +26,21 @@ from repro.sanitize import SanitizerError, count_check
 
 __all__ = ["snapshot_canary"]
 
-#: SessionSnapshot fields whose values are plain scalars (== is exact).
-_SCALAR_FIELDS = (
-    "version",
+#: CoreState fields holding plain data (== is exact).
+_PLAIN_FIELDS = (
+    "core_id",
+    "address_offset",
     "workload_name",
     "blocks_fetched",
     "block_pos",
     "cycle_carry",
     "refs_left",
     "chunk_size",
+    "ratio",
+    "self_by_object",
+    "contention_by_object",
+    "unattributed_self",
+    "unattributed_contention",
 )
 
 _STATS_SCALARS = (
@@ -53,6 +61,14 @@ def _cache_fingerprint(cache: object) -> tuple[object, ...]:
     )
 
 
+def _compare(where: str, before: object, after: object) -> None:
+    if before != after:
+        raise SanitizerError(
+            f"snapshot {where} changed across a pickle roundtrip: "
+            f"{before!r} -> {after!r}"
+        )
+
+
 def snapshot_canary(snapshot: object) -> None:
     """Roundtrip ``snapshot`` through pickle and verify it survived."""
     count_check("snapshot.canary")
@@ -64,25 +80,22 @@ def snapshot_canary(snapshot: object) -> None:
         raise SanitizerError(
             f"snapshot does not survive a pickle roundtrip: {exc!r}"
         ) from exc
-    for name in _SCALAR_FIELDS:
-        before = getattr(snapshot, name)
-        after = getattr(clone, name)
-        if before != after:
-            raise SanitizerError(
-                f"snapshot field {name!r} changed across a pickle "
-                f"roundtrip: {before!r} -> {after!r}"
+    for name in ("version", "next_core"):
+        _compare(f"field {name!r}", getattr(snapshot, name), getattr(clone, name))
+    _compare("core count", len(snapshot.cores), len(clone.cores))
+    for i, (core, copy) in enumerate(zip(snapshot.cores, clone.cores)):
+        for name in _PLAIN_FIELDS:
+            _compare(
+                f"core {i} field {name!r}", getattr(core, name), getattr(copy, name)
             )
-    for name in _STATS_SCALARS:
-        before = getattr(snapshot.stats, name, None)
-        after = getattr(clone.stats, name, None)
-        if before != after:
-            raise SanitizerError(
-                f"snapshot stats.{name} changed across a pickle "
-                f"roundtrip: {before!r} -> {after!r}"
+        for name in _STATS_SCALARS:
+            _compare(
+                f"core {i} stats.{name}",
+                getattr(core.stats, name, None),
+                getattr(copy.stats, name, None),
             )
-    if _cache_fingerprint(clone.cache) != _cache_fingerprint(snapshot.cache):
-        raise SanitizerError(
-            "snapshot cache state changed across a pickle roundtrip: "
-            f"{_cache_fingerprint(snapshot.cache)} -> "
-            f"{_cache_fingerprint(clone.cache)}"
+        _compare(
+            f"core {i} cache state",
+            _cache_fingerprint(core.cache),
+            _cache_fingerprint(copy.cache),
         )

@@ -24,7 +24,6 @@ from repro.sim.observers import (
 )
 from repro.sim.session import (
     SNAPSHOT_VERSION,
-    CoreContext,
     MultiCoreSession,
     SessionSnapshot,
     SimulationSession,
@@ -52,7 +51,6 @@ __all__ = [
     "SessionSnapshot",
     "SimulationSession",
     "MultiCoreSession",
-    "CoreContext",
     "ToolDispatcher",
     "RunResult",
     "Simulator",

@@ -17,7 +17,7 @@ engine locals, a run can be paused, serialised with :meth:`snapshot` and
 continued later — on another process or after a crash — with
 :meth:`restore`, producing results bit-identical to an uninterrupted
 run. :class:`~repro.sim.engine.Simulator` is now a thin driver over this
-class.
+class, and :class:`MultiCoreSession` is a scheduler over a list of them.
 
 Multi-tool arbitration (§2.2's counter-resource trade-offs):
 
@@ -37,9 +37,10 @@ Snapshot invariants: the reference stream itself is *not* serialised —
 workload generators are deterministic functions of their seed, so
 :meth:`restore` rebuilds the workload and fast-forwards its block stream
 to the recorded cursor, replaying allocation/free side effects into the
-fresh object map. ``reprolint`` rule RPL501 cross-checks the snapshot
-payload against :class:`SessionSnapshot`'s fields so the two cannot
-drift apart silently.
+fresh object map. Every session snapshots as one shape, a
+:class:`SessionSnapshot` of per-core :class:`CoreState` records, and
+``reprolint`` rule RPL501 cross-checks both payloads against their
+dataclass fields so they cannot drift apart silently.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from __future__ import annotations
 import os
 import pickle
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
@@ -72,18 +73,15 @@ if TYPE_CHECKING:  # pragma: no cover
 
 #: Version stamp embedded in every snapshot; bumped whenever the payload
 #: layout changes so stale checkpoint files are refused, not misread.
-#: v2: the pickled ``cache`` entry may now be a component stack
-#: (Pipeline / mechanism decorators over leaf models — see
-#: repro.cache.components) rather than a bare single- or two-level model.
-#: v3: kernel snapshot tuples carry the RNG draw count (replay-auditable
-#: eviction streams — see repro.sanitize.rng), so v2 checkpoints no
-#: longer unpack and are refused by version.
-#: v4: the payload gains a ``cores`` entry — None for single-core
-#: sessions, a list of per-core :class:`CoreState` records for
-#: :class:`MultiCoreSession` snapshots (the shared LLC is pickled once
-#: through the per-core cache graphs; unpickling restores the shared
-#: identity). v3 checkpoints are refused by version.
-SNAPSHOT_VERSION = 4
+#: v2: the pickled cache may be a component stack (repro.cache.components).
+#: v3: kernel snapshot tuples carry the RNG draw count (repro.sanitize.rng).
+#: v4: a ``cores`` list of per-core records for multi-core sessions.
+#: v5: one shape for every session — ``cores`` holds one
+#: :class:`CoreState` per core (one for a single-core session) beside the
+#: round-robin pointer ``next_core``; the v4 top-level copy of the next
+#: core is gone, and a core that finished its stream records its final
+#: cursor. Older checkpoints are refused by version.
+SNAPSHOT_VERSION = 5
 
 
 # ------------------------------------------------------------- dispatcher
@@ -163,14 +161,17 @@ class ToolDispatcher:
 
 @dataclass
 class CoreState:
-    """Per-core slice of a :class:`MultiCoreSession` snapshot.
+    """One core's resumable state inside a :class:`SessionSnapshot`.
 
-    Field names deliberately mirror :class:`SessionSnapshot` where the
-    meaning matches, so :meth:`SimulationSession._resume` can rebuild a
-    per-core session from either record. ``cache`` is the core's
-    pipeline over the shared level; pickling every core's pipeline in
-    one :class:`SessionSnapshot` graph serialises the shared LLC leaf
-    exactly once and restores it as one shared object.
+    Everything needed to continue the core is here *except* its
+    reference stream: ``blocks_fetched``/``block_pos`` are the cursor
+    into the workload's deterministic block generator, which restore
+    replays. The live objects (cache, monitor, clock, ground truth,
+    dispatcher with its tools) of every core are pickled as one graph,
+    so shared references — a tool context pointing at the core's cache,
+    every core's port pointing at one shared LLC — survive the round
+    trip. A core that already used up its stream records its final
+    cursor and resumes finished.
     """
 
     core_id: int
@@ -187,10 +188,10 @@ class CoreState:
     cache: CacheModel
     monitor: PerformanceMonitor
     ground_truth: GroundTruth | None
-    dispatcher: "ToolDispatcher | None"
+    dispatcher: ToolDispatcher | None
     #: Interleaver weight: chunks this core advances per round-robin turn.
     ratio: int
-    #: Accumulated per-object contention attribution (qualified names).
+    #: Shared-level contention attribution so far (empty single-core).
     self_by_object: dict[str, int]
     contention_by_object: dict[str, int]
     unattributed_self: int
@@ -199,36 +200,13 @@ class CoreState:
 
 @dataclass
 class SessionSnapshot:
-    """Serialized mid-run state of one :class:`SimulationSession`.
-
-    Everything needed to continue the run is here *except* the reference
-    stream: ``blocks_fetched``/``block_pos`` are the cursor into the
-    workload's deterministic block generator, which :meth:`SimulationSession.restore`
-    replays. The live objects (cache, monitor, clock, ground truth,
-    dispatcher with its tools) are pickled as one graph so shared
-    references — e.g. a tool context pointing at the session's cache —
-    survive the round trip intact.
-    """
+    """Serialized mid-run state of a :class:`SimulationSession` (one core)
+    or a :class:`MultiCoreSession` (one :class:`CoreState` per core, in
+    core order, and the core its next round-robin turn goes to)."""
 
     version: int
-    workload_name: str
-    blocks_fetched: int
-    block_pos: int | None
-    cycle_carry: float
-    refs_left: int | None
-    chunk_size: int
-    cost_model: CostModel
-    clock: VirtualClock
-    stats: RunStats
-    cache: CacheModel
-    monitor: PerformanceMonitor
-    ground_truth: GroundTruth | None
-    dispatcher: ToolDispatcher | None
-    #: Per-core state for multi-core snapshots; None for single-core
-    #: sessions. When set, the top-level fields hold core 0's objects
-    #: (so the payload stays uniformly typed) and restore goes through
-    #: :meth:`MultiCoreSession.restore`, which reads only this list.
-    cores: "list[CoreState] | None" = None
+    next_core: int
+    cores: list[CoreState]
 
     # ------------------------------------------------------------ storage
 
@@ -247,31 +225,155 @@ class SessionSnapshot:
         return target
 
     @staticmethod
-    def load(path: str | os.PathLike[str]) -> "SessionSnapshot":
-        """Read a snapshot back; raises SimulationError naming ``path`` on
-        bad contents: a truncated or corrupt file, one that pickled a class
-        that no longer exists, another object, or another format version."""
-        with Path(path).open("rb") as fh:
-            try:
-                loaded = pickle.load(fh)
-            except Exception as exc:  # unpickling garbage can raise anything
-                raise SimulationError(
-                    f"cannot read snapshot {path}: {type(exc).__name__}: {exc}"
-                ) from exc
-        if not isinstance(loaded, SessionSnapshot):
-            raise SimulationError(f"{path} does not contain a SessionSnapshot")
+    def load(
+        source: "SessionSnapshot | str | os.PathLike[str]",
+    ) -> "SessionSnapshot":
+        """``source`` as a snapshot this code can resume: a path is read
+        from disk, an in-memory snapshot passes through. Raises
+        SimulationError naming a path on bad contents (a truncated or
+        corrupt file, one that pickled a class that no longer exists,
+        another object) and on another format version, whatever the
+        source."""
+        loaded, where = source, ""
+        if not isinstance(source, SessionSnapshot):
+            where = f" {source}"
+            with Path(source).open("rb") as fh:
+                try:
+                    loaded = pickle.load(fh)
+                except Exception as exc:  # unpickling garbage can raise anything
+                    raise SimulationError(
+                        f"cannot read snapshot {source}: {type(exc).__name__}: {exc}"
+                    ) from exc
+            if not isinstance(loaded, SessionSnapshot):
+                raise SimulationError(f"{source} does not contain a SessionSnapshot")
         if loaded.version != SNAPSHOT_VERSION:
             raise SimulationError(
-                f"snapshot version {loaded.version} incompatible with "
-                f"current format {SNAPSHOT_VERSION}"
+                f"snapshot{where} version {loaded.version} incompatible "
+                f"with current format {SNAPSHOT_VERSION}"
             )
         return loaded
+
+
+def _port_of(cache: CacheModel):
+    """The :class:`~repro.cache.components.SharedLevelPort` a core's cache
+    pipeline ends in (one core of a multi-core run), or None."""
+    levels = getattr(cache, "levels", None)
+    return levels[-1] if levels and hasattr(levels[-1], "shared_level") else None
+
+
+def _capture(cores: "list[SimulationSession]", next_core: int) -> SessionSnapshot:
+    """The detached snapshot both ``snapshot()`` methods return.
+
+    Pickling every core in one graph serialises a shared LLC exactly
+    once; unpickling rebuilds it as one object every port references.
+    The round trip also detaches the snapshot, so the live session can
+    keep running without mutating it.
+    """
+    if any(core._finalized for core in cores):
+        raise SimulationError("cannot snapshot a finalized session")
+    if all(core._exhausted for core in cores):
+        raise SimulationError("cannot snapshot an exhausted session")
+    payload = {
+        "version": SNAPSHOT_VERSION,
+        "next_core": next_core,
+        "cores": [core._core_state() for core in cores],
+    }
+    snap = SessionSnapshot(**payload)
+    detached: SessionSnapshot = pickle.loads(
+        pickle.dumps(snap, protocol=pickle.HIGHEST_PROTOCOL)
+    )
+    if sanitize.is_active():
+        # Canary before anyone trusts this snapshot: a second roundtrip
+        # must preserve every core's cursor, stats and cache state.
+        sanitize.snapshot_canary(detached)
+    return detached
+
+
+def _resume_cores(
+    snapshot: "SessionSnapshot | str | os.PathLike[str]",
+    workloads: "Sequence[Workload]",
+    observers: Sequence[SessionObserver],
+    compiled: "Sequence[CompiledStream | None] | None",
+    *,
+    multicore: bool,
+) -> "tuple[list[SimulationSession], int]":
+    """Check ``snapshot`` and resume every core it holds: the one restore
+    routine behind :meth:`SimulationSession.restore` and
+    :meth:`MultiCoreSession.restore`, whatever the snapshot's source (a
+    file, a checkpoint or an in-memory object).
+
+    ``workloads`` and ``compiled`` are in core order; compiled streams
+    are the *unshifted* compilations and each core's recorded relocation
+    is reapplied here. Returns the cores and the round-robin pointer.
+    """
+    from repro.workloads.compile import offset_stream
+
+    snapshot = SessionSnapshot.load(snapshot)
+    states = snapshot.cores
+    if any((_port_of(state.cache) is None) == multicore for state in states):
+        raise SimulationError(
+            "snapshot holds a single-core session; restore it with "
+            "SimulationSession.restore"
+            if multicore
+            else "snapshot holds a multi-core session; restore it with "
+            "MultiCoreSession.restore"
+        )
+    workloads = list(workloads)
+    streams = [None] * len(states) if compiled is None else list(compiled)
+    for given, what in ((workloads, "workloads"), (streams, "compiled streams")):
+        if len(given) != len(states):
+            raise SimulationError(
+                f"snapshot has {len(states)} cores but {len(given)} {what} "
+                "were supplied"
+            )
+    ids = [state.core_id for state in states]
+    if ids != list(range(len(states))):
+        raise SimulationError(f"snapshot core ids {ids} are not 0..N-1 in order")
+    cores = [
+        SimulationSession._resume(
+            state,
+            workload,
+            observers,
+            None if stream is None else offset_stream(stream, state.address_offset),
+        )
+        for state, workload, stream in zip(states, workloads, streams)
+    ]
+    if len({id(core.port.shared_level) for core in cores if core.port}) > 1:
+        raise SimulationError(
+            "restored cores do not share one LLC; the snapshot graph lost "
+            "the shared identity"
+        )
+    return cores, snapshot.next_core
+
+
+def _drive(session, max_steps, checkpoint_every_refs, on_checkpoint) -> bool:
+    """The run loop of both session types (see :meth:`SimulationSession.run`)."""
+    if checkpoint_every_refs is not None:
+        if checkpoint_every_refs <= 0:
+            raise SimulationError(
+                f"checkpoint_every_refs must be positive, got {checkpoint_every_refs}"
+            )
+        if on_checkpoint is None:
+            raise SimulationError("checkpoint_every_refs needs an on_checkpoint callback")
+    elif max_steps is None and session._fused_ready():
+        session._run_fused()
+        return True
+    due = None if checkpoint_every_refs is None else session.app_refs + checkpoint_every_refs
+    steps = 0
+    while max_steps is None or steps < max_steps:
+        if not session.step():
+            return True
+        steps += 1
+        if due is not None and session.app_refs >= due:
+            on_checkpoint(session.snapshot())
+            due = session.app_refs + checkpoint_every_refs
+    return session.finished
 
 
 # ---------------------------------------------------------------- session
 
 class SimulationSession:
-    """One in-progress simulated run, stepwise and serialisable."""
+    """One in-progress simulated run — one core — stepwise and serialisable."""
 
     def __init__(
         self,
@@ -296,11 +398,24 @@ class SimulationSession:
         #: on observer events so one observer can ride every core of a
         #: :class:`MultiCoreSession`.
         self.core_id = core_id
-        #: The core's :class:`~repro.cache.components.SharedLevelPort`
-        #: when this session is one core of a multi-core run (set by
-        #: :class:`MultiCoreSession`); used to surface per-chunk
-        #: contention counts on :class:`ChunkEvent`.
-        self._shared_port = None
+        #: The shared-level port the cache pipeline ends in when this
+        #: session is one core of a :class:`MultiCoreSession`, else None.
+        #: Every step drains its classified misses into the per-object
+        #: tallies below; finalize reports them as the core's contention.
+        self.port = _port_of(cache)
+        if self.port is not None:
+            # Merged multi-core outputs name objects per core ("c0:htab").
+            workload.object_map.namespace = f"c{core_id}"
+        #: Interleaver weight: chunks this core advances per round-robin turn.
+        self.ratio = 1
+        #: Shared-level misses attributed per object (namespace-qualified),
+        #: split by classification; misses whose address matched no live
+        #: object (e.g. freed heap blocks) are counted apart, so the
+        #: per-core sums stay conserved.
+        self.self_by_object: dict[str, int] = {}
+        self.contention_by_object: dict[str, int] = {}
+        self.unattributed_self = 0
+        self.unattributed_contention = 0
         self.monitor = monitor
         self.clock = clock if clock is not None else VirtualClock()
         self.stats = stats if stats is not None else RunStats()
@@ -440,8 +555,9 @@ class SimulationSession:
         for tool in tools:
             idx = self.dispatcher.add(tool)
             tool.ctx = self._shared_ctx
-            init = tool.attach(self._shared_ctx)
-            self._apply_handler_result(idx, init, account=False)
+            # Arming requests apply, but no interrupt is recorded: nothing
+            # was delivered yet.
+            self._apply_handler_result(idx, tool.attach(self._shared_ctx))
 
     def add_observer(self, observer: SessionObserver) -> None:
         self.observers.append(observer)
@@ -454,6 +570,11 @@ class SimulationSession:
         return self._exhausted or (
             self._refs_left is not None and self._refs_left <= 0
         )
+
+    @property
+    def app_refs(self) -> int:
+        """Application references simulated so far."""
+        return self.stats.app_refs
 
     def step(self) -> bool:
         """Advance by one unit — one cache chunk or one interrupt delivery.
@@ -490,6 +611,8 @@ class SimulationSession:
                 continue
             break
         self._process_chunk()
+        if self.port is not None:
+            self._attribute()
         return True
 
     def run(
@@ -500,11 +623,13 @@ class SimulationSession:
     ) -> bool:
         """Drive :meth:`step` until done (or for ``max_steps`` units).
 
-        ``checkpoint_every_refs`` invokes ``on_checkpoint(snapshot)``
-        each time that many further application references have been
-        simulated — the hook :class:`~repro.experiments.parallel.ParallelRunner`
-        uses to persist worker progress. Returns True when the run is
-        complete.
+        ``checkpoint_every_refs`` (positive, and only together with
+        ``on_checkpoint``) invokes ``on_checkpoint(snapshot)`` each time
+        that many further application references have been simulated —
+        the hook :class:`~repro.experiments.parallel.ParallelRunner` uses
+        to persist worker progress. Returns :attr:`finished`, so
+        ``max_steps=0`` advances nothing and returns False on a fresh
+        session. :meth:`MultiCoreSession.run` shares this loop.
 
         A virgin session over a compiled stream with nothing observing
         individual chunks (no tools, no observers, no max_refs, no
@@ -512,27 +637,7 @@ class SimulationSession:
         fused path instead of stepping — bit-identical results, far
         fewer Python-level iterations (DESIGN.md section 9).
         """
-        if (
-            max_steps is None
-            and checkpoint_every_refs is None
-            and self._fused_ready()
-        ):
-            self._run_fused()
-            return True
-        steps = 0
-        next_ckpt = (
-            self.stats.app_refs + checkpoint_every_refs
-            if checkpoint_every_refs
-            else None
-        )
-        while max_steps is None or steps < max_steps:
-            if not self.step():
-                return True
-            steps += 1
-            if next_ckpt is not None and self.stats.app_refs >= next_ckpt:
-                on_checkpoint(self.snapshot())
-                next_ckpt = self.stats.app_refs + checkpoint_every_refs
-        return self.finished
+        return _drive(self, max_steps, checkpoint_every_refs, on_checkpoint)
 
     # ----------------------------------------------------------- fused path
 
@@ -699,7 +804,7 @@ class SimulationSession:
             if block.writes is not None
             else None
         )
-        port = self._shared_port
+        port = self.port
         contention_before = (
             port.contention.contention_misses if port is not None else 0
         )
@@ -789,15 +894,8 @@ class SimulationSession:
             for observer in self.observers:
                 observer.on_interrupt(event)
 
-    def _apply_handler_result(
-        self, idx: int, result: HandlerResult, account: bool = True
-    ) -> None:
-        """Run handler memory refs through the cache and apply arming.
-
-        ``account=False`` is the attach path: arming requests apply but
-        no interrupt is recorded (nothing was delivered yet).
-        """
-        del account  # both paths apply identically; kept for call-site intent
+    def _apply_handler_result(self, idx: int, result: HandlerResult) -> None:
+        """Run handler memory refs through the cache and apply arming."""
         dispatcher = self.dispatcher
         assert dispatcher is not None
         if result.mem_refs is not None and len(result.mem_refs):
@@ -826,15 +924,64 @@ class SimulationSession:
         earliest = self.dispatcher.earliest_deadline()
         self.clock.sync_deadline(earliest[0] if earliest is not None else None)
 
+    # ---------------------------------------------------------- attribution
+
+    def _attribute(self) -> None:
+        """Drain the port's classified shared-level misses into per-object
+        tallies, against the object map as it stands *now* (the addresses
+        were classified at most one chunk ago, so heap churn cannot have
+        moved them more than one chunk's worth of allocations)."""
+        pending = self.port.drain_classified()
+        if not pending:
+            return
+        object_map = self.workload.object_map
+        snap = object_map.snapshot()
+        for self_addrs, contention_addrs in pending:
+            self.unattributed_self += self._tally(
+                snap, object_map, self_addrs, self.self_by_object
+            )
+            self.unattributed_contention += self._tally(
+                snap, object_map, contention_addrs, self.contention_by_object
+            )
+
+    @staticmethod
+    def _tally(snap, object_map, addrs, dest: dict[str, int]) -> int:
+        """Add per-object counts of ``addrs`` into ``dest``; returns the
+        number of addresses that matched no live object."""
+        if len(addrs) == 0:
+            return 0
+        counts = snap.count_by_object(addrs)
+        attributed = 0
+        for obj, count in zip(snap.objects, counts):
+            if count:
+                name = object_map.qualify(obj.name)
+                dest[name] = dest.get(name, 0) + int(count)
+                attributed += int(count)
+        return int(len(addrs)) - attributed
+
+    def _profile(self):
+        from repro.cache.contention import ContentionProfile
+
+        return ContentionProfile(
+            ledger=self.port.contention.snapshot(),
+            self_by_object=dict(self.self_by_object),
+            contention_by_object=dict(self.contention_by_object),
+            unattributed_self=self.unattributed_self,
+            unattributed_contention=self.unattributed_contention,
+        )
+
     # ------------------------------------------------------------- finalize
 
     def finalize(self):
-        """Close the run and assemble the :class:`~repro.sim.engine.RunResult`."""
+        """Close the run and assemble the :class:`~repro.sim.engine.RunResult`
+        (with the core's contention profile when it has a shared port)."""
         from repro.sim.engine import RunResult
 
         if self._finalized:
             raise SimulationError("session already finalized")
         self._finalized = True
+        if self.port is not None:
+            self._attribute()  # drain any classified misses left over
         # Freeze the totals at stream end: tool teardown below must not be
         # able to drift what this run reports as instrumentation activity.
         cache_stats = self.cache.stats.snapshot()
@@ -875,29 +1022,34 @@ class SimulationSession:
             cache_stats=cache_stats,
             component_stats=component_stats,
             core_id=self.core_id,
+            contention=self._profile() if self.port is not None else None,
         )
 
     # ------------------------------------------------------------- snapshot
 
     def snapshot(self) -> SessionSnapshot:
-        """Serialisable copy of the complete mid-run state.
-
-        The returned snapshot is detached (pickle round-trip), so the
-        live session can keep running without mutating it. RPL501
-        guards this payload against drifting from the dataclass.
-        """
-        if self._finalized:
-            raise SimulationError("cannot snapshot a finalized session")
-        if self._exhausted:
-            raise SimulationError("cannot snapshot an exhausted session")
-        if self._shared_port is not None:
+        """Serialisable, detached copy of the complete mid-run state: a
+        :class:`SessionSnapshot` holding this session as its one core."""
+        if self.port is not None:
             raise SimulationError(
                 "this session is one core of a multi-core run; snapshot "
                 "the MultiCoreSession instead (its payload serialises the "
                 "shared LLC exactly once)"
             )
+        return _capture([self], 0)
+
+    def _core_state(self) -> CoreState:
+        """This core's :class:`CoreState`, the one constructor both
+        ``snapshot()`` methods use (RPL501 checks its payload against the
+        fields)."""
+        if self.port is not None:
+            # Classified addresses still pending attribution would be
+            # lost by a snapshot (the arrays are drained, not pickled);
+            # fold them into the per-object tallies first.
+            self._attribute()
         payload = {
-            "version": SNAPSHOT_VERSION,
+            "core_id": self.core_id,
+            "address_offset": self.workload.address_offset,
             "workload_name": self.workload.name,
             "blocks_fetched": self._blocks_fetched,
             "block_pos": self._pos if self._block is not None else None,
@@ -911,17 +1063,13 @@ class SimulationSession:
             "monitor": self.monitor,
             "ground_truth": self.ground_truth,
             "dispatcher": self.dispatcher,
-            "cores": None,
+            "ratio": self.ratio,
+            "self_by_object": self.self_by_object,
+            "contention_by_object": self.contention_by_object,
+            "unattributed_self": self.unattributed_self,
+            "unattributed_contention": self.unattributed_contention,
         }
-        snap = SessionSnapshot(**payload)
-        detached: SessionSnapshot = pickle.loads(
-            pickle.dumps(snap, protocol=pickle.HIGHEST_PROTOCOL)
-        )
-        if sanitize.is_active():
-            # Canary before anyone trusts this snapshot: a second
-            # roundtrip must preserve cursor, stats and cache state.
-            sanitize.snapshot_canary(detached)
-        return detached
+        return CoreState(**payload)
 
     @classmethod
     def restore(
@@ -931,8 +1079,9 @@ class SimulationSession:
         observers: Sequence[SessionObserver] = (),
         compiled: "CompiledStream | None" = None,
     ) -> "SimulationSession":
-        """Rebuild a running session from a snapshot and an equivalent
-        workload instance (same name/construction parameters/seed).
+        """Rebuild a running session from a snapshot (or a path to one)
+        and an equivalent workload instance (same name/construction
+        parameters/seed).
 
         The workload's deterministic block stream is regenerated and
         fast-forwarded to the snapshot's cursor — replaying any mid-run
@@ -946,38 +1095,27 @@ class SimulationSession:
         do not record which stream source produced them: the two are
         bit-identical, so either may resume the other.
         """
-        if not isinstance(snapshot, SessionSnapshot):
-            snapshot = SessionSnapshot.load(snapshot)
-        if snapshot.cores is not None:
-            raise SimulationError(
-                "snapshot holds a multi-core session; restore it with "
-                "MultiCoreSession.restore"
-            )
-        return cls._resume(
-            snapshot, workload, observers=observers, compiled=compiled
+        (session,), _ = _resume_cores(
+            snapshot, [workload], observers, [compiled], multicore=False
         )
+        return session
 
     @classmethod
     def _resume(
         cls,
-        state: "SessionSnapshot | CoreState",
+        state: CoreState,
         workload: "Workload",
-        observers: Sequence[SessionObserver] = (),
-        compiled: "CompiledStream | None" = None,
-        core_id: int = 0,
+        observers: Sequence[SessionObserver],
+        compiled: "CompiledStream | None",
     ) -> "SimulationSession":
-        """Rebuild one running session from a state record.
-
-        The shared machinery behind :meth:`restore` (single-core, from a
-        :class:`SessionSnapshot`) and :meth:`MultiCoreSession.restore`
-        (per core, from a :class:`CoreState` — same field names where
-        the meaning matches).
-        """
+        """Rebuild one running core from its :class:`CoreState`."""
         if workload.name != state.workload_name:
             raise SimulationError(
                 f"snapshot is for workload {state.workload_name!r}, "
                 f"got {workload.name!r}"
             )
+        # Before prepare(): it builds the core's shifted address space.
+        workload.address_offset = state.address_offset
         if workload.consumed:
             workload.reset()
         workload.prepare()
@@ -994,12 +1132,16 @@ class SimulationSession:
             chunk_size=state.chunk_size,
             ground_truth=state.ground_truth,
             observers=observers,
-            core_id=core_id,
+            core_id=state.core_id,
         )
-        snapshot = state
-        session.dispatcher = snapshot.dispatcher
-        session._cycle_carry = snapshot.cycle_carry
-        session._refs_left = snapshot.refs_left
+        session.dispatcher = state.dispatcher
+        session._cycle_carry = state.cycle_carry
+        session._refs_left = state.refs_left
+        session.ratio = state.ratio
+        session.self_by_object = state.self_by_object
+        session.contention_by_object = state.contention_by_object
+        session.unattributed_self = state.unattributed_self
+        session.unattributed_contention = state.unattributed_contention
 
         if compiled is not None:
             session._compiled = compiled
@@ -1007,7 +1149,7 @@ class SimulationSession:
         else:
             blocks = workload.blocks()
         block = None
-        for _ in range(snapshot.blocks_fetched):
+        for _ in range(state.blocks_fetched):
             try:
                 block = next(blocks)
             except StopIteration:
@@ -1016,10 +1158,10 @@ class SimulationSession:
                     "workload parameters differ from the snapshotted run"
                 ) from None
         session._blocks = blocks
-        session._blocks_fetched = snapshot.blocks_fetched
-        if snapshot.block_pos is not None:
+        session._blocks_fetched = state.blocks_fetched
+        if state.block_pos is not None:
             session._block = block
-            session._pos = snapshot.block_pos
+            session._pos = state.block_pos
 
         # Re-bind attribution and tool contexts to the regenerated live
         # substrate (the pickled copies froze at snapshot time and would
@@ -1054,49 +1196,20 @@ class SimulationSession:
 
 # ------------------------------------------------------------- multi-core
 
-@dataclass
-class CoreContext:
-    """Everything private to one core of a :class:`MultiCoreSession`.
-
-    The extraction the multi-core refactor is built on: workload, private
-    cache pipeline (inside ``session.cache``), monitor, per-core run
-    state and ground truth all live in the per-core
-    :class:`SimulationSession`; this record adds the core's handle on the
-    shared level (its :class:`~repro.cache.components.SharedLevelPort`),
-    its interleaver weight and the per-object contention attribution
-    accumulated so far.
-    """
-
-    core_id: int
-    workload: "Workload"
-    session: SimulationSession
-    #: The core's port into the shared LLC (``session.cache.levels[-1]``).
-    port: object
-    #: Interleaver weight: chunks this core advances per round-robin turn.
-    ratio: int = 1
-    compiled: "CompiledStream | None" = None
-    #: Shared-level misses attributed per object (namespace-qualified
-    #: names, e.g. ``"c0:field"``), split by classification.
-    self_by_object: dict[str, int] = field(default_factory=dict)
-    contention_by_object: dict[str, int] = field(default_factory=dict)
-    #: Classified misses whose address matched no live object (e.g. freed
-    #: heap blocks) — kept so the per-core sums stay conserved.
-    unattributed_self: int = 0
-    unattributed_contention: int = 0
-
-
 class MultiCoreSession:
     """N private-cache cores time-sharing one shared last-level cache.
 
     The multiprocessor extension of :class:`SimulationSession` (the
-    paper's §5 "future work" direction): each core is a complete
-    single-core session — its own workload in a disjoint shifted address
-    space, private L1, monitor, clock, ground truth — whose cache
-    pipeline bottoms out in a :class:`~repro.cache.components.SharedLevelPort`
-    onto one shared :class:`~repro.cache.components.SharedCacheLevel`.
-    A deterministic round-robin interleaver advances the cores chunk by
-    chunk (``ratios`` weights the schedule), so a run is a pure function
-    of (workloads, configs, seeds, ratios) — snapshot/resume included.
+    paper's §5 "future work" direction): each core *is* a
+    :class:`SimulationSession` — its own workload in a disjoint shifted
+    address space, private L1, monitor, clock, ground truth and
+    contention tallies — whose cache pipeline bottoms out in a
+    :class:`~repro.cache.components.SharedLevelPort` onto one shared
+    :class:`~repro.cache.components.SharedCacheLevel`. This class is
+    only the scheduler: a deterministic round-robin interleaver advances
+    the cores chunk by chunk (each core's ``ratio`` weights the
+    schedule), so a run is a pure function of (workloads, configs,
+    seeds, ratios) — snapshot/resume included.
 
     Every shared-level miss is classified against a per-core *shadow*
     model (the LLC as it would look if the core ran alone): a miss the
@@ -1112,19 +1225,17 @@ class MultiCoreSession:
 
     def __init__(
         self,
-        cores: list[CoreContext],
+        cores: list[SimulationSession],
         shared_level,
         *,
-        chunk_size: int,
-        cost_model: CostModel,
+        next_core: int = 0,
     ) -> None:
         if not cores:
             raise SimulationError("MultiCoreSession needs at least one core")
         self.cores = cores
         self.shared_level = shared_level
-        self.chunk_size = chunk_size
-        self.cost_model = cost_model
-        self._next = 0
+        #: Round-robin pointer: the core the next scheduling turn goes to.
+        self._next = next_core
         self._finalized = False
 
     # ------------------------------------------------------------ creation
@@ -1202,51 +1313,36 @@ class MultiCoreSession:
         cost = cost_model if cost_model is not None else CostModel()
 
         shared = make_shared_level(llc_config, backend=backend, seed=seed)
-        cores: list[CoreContext] = []
+        cores: list[SimulationSession] = []
         for core_id, workload in enumerate(workloads):
             offset = core_id * CORE_STRIDE
             # Set before start(): prepare() builds the shifted address
             # space, so the object map, ground truth and generated
             # addresses all live in the core's namespace from the start.
             workload.address_offset = offset
-            pipeline = core_pipeline(
-                shared, core_id, l1=l1_config, backend=backend, seed=seed
-            )
-            monitor = PerformanceMonitor(
-                n_region_counters,
-                multiplexed=multiplexed_counters,
-                core_id=core_id,
-            )
             stream = compiled_list[core_id]
-            if stream is not None:
-                stream = offset_stream(stream, offset)
-            session = SimulationSession.start(
+            core = SimulationSession.start(
                 workload,
-                cache=pipeline,
-                monitor=monitor,
+                cache=core_pipeline(
+                    shared, core_id, l1=l1_config, backend=backend, seed=seed
+                ),
+                monitor=PerformanceMonitor(
+                    n_region_counters,
+                    multiplexed=multiplexed_counters,
+                    core_id=core_id,
+                ),
                 cost_model=cost,
                 chunk_size=chunk_size,
                 ground_truth=ground_truth,
                 series_bucket_cycles=series_bucket_cycles,
                 max_refs=max_refs,
                 observers=observers,
-                compiled=stream,
+                compiled=None if stream is None else offset_stream(stream, offset),
                 core_id=core_id,
             )
-            port = pipeline.levels[-1]
-            session._shared_port = port
-            workload.object_map.namespace = f"c{core_id}"
-            cores.append(
-                CoreContext(
-                    core_id=core_id,
-                    workload=workload,
-                    session=session,
-                    port=port,
-                    ratio=ratios[core_id],
-                    compiled=stream,
-                )
-            )
-        return cls(cores, shared, chunk_size=chunk_size, cost_model=cost)
+            core.ratio = ratios[core_id]
+            cores.append(core)
+        return cls(cores, shared)
 
     # -------------------------------------------------------------- running
 
@@ -1257,14 +1353,16 @@ class MultiCoreSession:
 
     @property
     def finished(self) -> bool:
-        return all(core.session.finished for core in self.cores)
+        return all(core.finished for core in self.cores)
 
-    def total_app_refs(self) -> int:
-        return sum(core.session.stats.app_refs for core in self.cores)
+    @property
+    def app_refs(self) -> int:
+        """Application references simulated so far, summed over cores."""
+        return sum(core.stats.app_refs for core in self.cores)
 
     def attach(self, tools, core: int = 0) -> None:
         """Attach instrumentation tools to one core (default core 0)."""
-        self.cores[core].session.attach(tools)
+        self.cores[core].attach(tools)
 
     def step(self) -> bool:
         """Advance the next unfinished core by one scheduling turn.
@@ -1280,13 +1378,10 @@ class MultiCoreSession:
         for _ in range(n):
             core = self.cores[self._next]
             self._next = (self._next + 1) % n
-            progressed = False
-            for _ in range(core.ratio):
-                if not core.session.step():
-                    break
-                progressed = True
-                self._attribute(core)
-            if progressed:
+            granted = 0
+            while granted < core.ratio and core.step():
+                granted += 1
+            if granted:
                 return True
         return False
 
@@ -1295,45 +1390,25 @@ class MultiCoreSession:
         max_steps: int | None = None,
         checkpoint_every_refs: int | None = None,
         on_checkpoint=None,
-    ) -> None:
-        """Drive :meth:`step` until every core finishes.
-
-        ``checkpoint_every_refs`` invokes ``on_checkpoint(snapshot)``
-        each time the *combined* reference count crosses another
-        multiple, mirroring the single-core run loop's cadence.
-
-        When every core could take the single-core bulk path and every
-        cache level is LRU or FIFO, the run goes through
+    ) -> bool:
+        """Drive :meth:`step` until every core finishes: the loop, the
+        arguments and the return value of :meth:`SimulationSession.run`,
+        with the checkpoint cadence counted over the *combined* reference
+        count. When every core could take the single-core bulk path and
+        every cache level is LRU or FIFO, the run goes through
         :meth:`_run_fused` instead of stepping (DESIGN.md section 9).
         """
-        if (
-            max_steps is None
-            and checkpoint_every_refs is None
-            and all(
-                core.session._fused_ready()
-                and core.session._chunk_invariant_kernels()
-                for core in self.cores
-            )
-        ):
-            self._run_fused()
-            return
-        next_checkpoint: int | None = None
-        if checkpoint_every_refs is not None:
-            if checkpoint_every_refs <= 0:
-                raise SimulationError("checkpoint_every_refs must be positive")
-            next_checkpoint = self.total_app_refs() + checkpoint_every_refs
-        steps = 0
-        while self.step():
-            steps += 1
-            if max_steps is not None and steps >= max_steps:
-                return
-            if next_checkpoint is not None and on_checkpoint is not None:
-                total = self.total_app_refs()
-                if total >= next_checkpoint:
-                    on_checkpoint(self.snapshot())
-                    next_checkpoint = total + checkpoint_every_refs
+        return _drive(self, max_steps, checkpoint_every_refs, on_checkpoint)
 
     # ----------------------------------------------------------- fused path
+
+    def _fused_ready(self) -> bool:
+        """Every core's own fused gate admits it, and every level
+        (private L1, shared leaf, each shadow) is LRU or FIFO."""
+        return all(
+            core._fused_ready() and core._chunk_invariant_kernels()
+            for core in self.cores
+        )
 
     def _run_fused(self) -> None:
         """Walk the grant schedule :meth:`step` would produce — the same
@@ -1342,9 +1417,10 @@ class MultiCoreSession:
         references (a single larger grant is a window of its own)."""
         from itertools import islice
 
-        streams = [core.session._fused_chunks() for core in self.cores]
+        streams = [core._fused_chunks() for core in self.cores]
         live = list(self.cores)
-        window: list[tuple[CoreContext, list[np.ndarray]]] = []
+        limit = self.cores[0].chunk_size
+        window: list[tuple[SimulationSession, list[np.ndarray]]] = []
         size = 0
         while live:
             for core in list(live):
@@ -1353,7 +1429,7 @@ class MultiCoreSession:
                     live.remove(core)
                     continue
                 refs = sum(map(len, grant))
-                if window and size + refs > self.chunk_size:
+                if window and size + refs > limit:
                     self._fused_window(window)
                     window, size = [], 0
                 window.append((core, grant))
@@ -1362,7 +1438,7 @@ class MultiCoreSession:
             self._fused_window(window)
 
     def _fused_window(
-        self, window: list[tuple[CoreContext, list[np.ndarray]]]
+        self, window: list[tuple[SimulationSession, list[np.ndarray]]]
     ) -> None:
         """Run one window through every cache level once: each core's
         private levels over its own grants, the shared leaf over the
@@ -1380,7 +1456,7 @@ class MultiCoreSession:
             grants.append((core.core_id, start, start + sum(map(len, grant))))
         refs, post, index = {}, {}, {}
         for cid, mine in chunks.items():
-            pipeline = self.cores[cid].session.cache
+            pipeline = self.cores[cid].cache
             pipeline.begin_stage()
             refs[cid] = np.concatenate(mine)
             post[cid], index[cid] = pipeline._filter(refs[cid])
@@ -1403,58 +1479,11 @@ class MultiCoreSession:
                     shared_miss, len(shared_miss), int(shared_miss.sum()), 0, 0
                 ),
             )
-            pipeline = core.session.cache
-            pipeline.commit_stage("app", len(refs[cid]))
-            core.session._account(
-                refs[cid], pipeline._lift(shared_miss, index[cid], len(refs[cid]))
+            core.cache.commit_stage("app", len(refs[cid]))
+            core._account(
+                refs[cid], core.cache._lift(shared_miss, index[cid], len(refs[cid]))
             )
-            self._attribute(core)
-
-    # ---------------------------------------------------------- attribution
-
-    def _attribute(self, core: CoreContext) -> None:
-        """Drain the core's classified shared-level misses into per-object
-        tallies, against the object map as it stands *now* (the addresses
-        were classified at most one chunk ago, so heap churn cannot have
-        moved them more than one chunk's worth of allocations)."""
-        pending = core.port.drain_classified()
-        if not pending:
-            return
-        object_map = core.workload.object_map
-        snap = object_map.snapshot()
-        for self_addrs, contention_addrs in pending:
-            core.unattributed_self += self._tally(
-                snap, object_map, self_addrs, core.self_by_object
-            )
-            core.unattributed_contention += self._tally(
-                snap, object_map, contention_addrs, core.contention_by_object
-            )
-
-    @staticmethod
-    def _tally(snap, object_map, addrs, dest: dict[str, int]) -> int:
-        """Add per-object counts of ``addrs`` into ``dest``; returns the
-        number of addresses that matched no live object."""
-        if len(addrs) == 0:
-            return 0
-        counts = snap.count_by_object(addrs)
-        attributed = 0
-        for obj, count in zip(snap.objects, counts):
-            if count:
-                name = object_map.qualify(obj.name)
-                dest[name] = dest.get(name, 0) + int(count)
-                attributed += int(count)
-        return int(len(addrs)) - attributed
-
-    def _profile(self, core: CoreContext):
-        from repro.cache.contention import ContentionProfile
-
-        return ContentionProfile(
-            ledger=core.port.contention.snapshot(),
-            self_by_object=dict(core.self_by_object),
-            contention_by_object=dict(core.contention_by_object),
-            unattributed_self=core.unattributed_self,
-            unattributed_contention=core.unattributed_contention,
-        )
+            core._attribute()
 
     # ------------------------------------------------------------- finalize
 
@@ -1475,12 +1504,7 @@ class MultiCoreSession:
         if self._finalized:
             raise SimulationError("session already finalized")
         self._finalized = True
-        results = []
-        for core in self.cores:
-            self._attribute(core)  # drain any classified misses left over
-            result = core.session.finalize()
-            result.contention = self._profile(core)
-            results.append(result)
+        results = [core.finalize() for core in self.cores]
 
         merged_ledger = ContentionLedger()
         merged_self: dict[str, int] = {}
@@ -1519,10 +1543,10 @@ class MultiCoreSession:
             instr_cycles=max(r.stats.instr_cycles for r in results),
         )
         component_stats = [("llc", self.shared_level.stats.snapshot())]
-        for core, result in zip(self.cores, results):
+        for result in results:
             if result.component_stats:
                 component_stats.extend(
-                    (f"c{core.core_id}.{label}", stats_snapshot)
+                    (f"c{result.core_id}.{label}", stats_snapshot)
                     for label, stats_snapshot in result.component_stats
                 )
         return RunResult(
@@ -1544,87 +1568,11 @@ class MultiCoreSession:
     # ------------------------------------------------------------- snapshot
 
     def snapshot(self) -> SessionSnapshot:
-        """Serialisable copy of the whole machine's mid-run state.
-
-        One :class:`SessionSnapshot` whose ``cores`` list carries a
-        :class:`CoreState` per core, rotated so the next core to run
-        comes first (the round-robin pointer is schedule state); the
-        top-level fields hold that core's objects so the payload stays
-        uniformly typed (and RPL501 keeps pinning it). Pickling
-        everything as one graph serialises the shared LLC leaf exactly
-        once — unpickling rebuilds it as one object every port
-        references, preserving the shared identity.
-        """
-        if self._finalized:
-            raise SimulationError("cannot snapshot a finalized session")
-        for core in self.cores:
-            if core.session._exhausted:
-                raise SimulationError(
-                    f"cannot snapshot: core {core.core_id} "
-                    f"({core.workload.name}) already exhausted its stream"
-                )
-            # Classified addresses still pending attribution would be
-            # lost by a snapshot (the arrays are drained, not pickled);
-            # fold them into the per-object tallies first.
-            self._attribute(core)
-        core_states = [
-            CoreState(
-                core_id=core.core_id,
-                address_offset=core.workload.address_offset,
-                workload_name=core.workload.name,
-                blocks_fetched=core.session._blocks_fetched,
-                block_pos=(
-                    core.session._pos
-                    if core.session._block is not None
-                    else None
-                ),
-                cycle_carry=core.session._cycle_carry,
-                refs_left=core.session._refs_left,
-                chunk_size=core.session.chunk_size,
-                cost_model=core.session.cost_model,
-                clock=core.session.clock,
-                stats=core.session.stats,
-                cache=core.session.cache,
-                monitor=core.session.monitor,
-                ground_truth=core.session.ground_truth,
-                dispatcher=core.session.dispatcher,
-                ratio=core.ratio,
-                self_by_object=dict(core.self_by_object),
-                contention_by_object=dict(core.contention_by_object),
-                unattributed_self=core.unattributed_self,
-                unattributed_contention=core.unattributed_contention,
-            )
-            for core in (
-                self.cores[self._next :] + self.cores[: self._next]
-            )
-        ]
-        first = self.cores[self._next]
-        payload = {
-            "version": SNAPSHOT_VERSION,
-            "workload_name": self.name,
-            "blocks_fetched": first.session._blocks_fetched,
-            "block_pos": (
-                first.session._pos if first.session._block is not None else None
-            ),
-            "cycle_carry": first.session._cycle_carry,
-            "refs_left": first.session._refs_left,
-            "chunk_size": self.chunk_size,
-            "cost_model": self.cost_model,
-            "clock": first.session.clock,
-            "stats": first.session.stats,
-            "cache": first.session.cache,
-            "monitor": first.session.monitor,
-            "ground_truth": first.session.ground_truth,
-            "dispatcher": first.session.dispatcher,
-            "cores": core_states,
-        }
-        snap = SessionSnapshot(**payload)
-        detached: SessionSnapshot = pickle.loads(
-            pickle.dumps(snap, protocol=pickle.HIGHEST_PROTOCOL)
-        )
-        if sanitize.is_active():
-            sanitize.snapshot_canary(detached)
-        return detached
+        """Serialisable, detached copy of the whole machine's mid-run
+        state: every core's :class:`CoreState`, in core order, and the
+        round-robin pointer. Cores that already finished their streams
+        record their final cursors."""
+        return _capture(self.cores, self._next)
 
     @classmethod
     def restore(
@@ -1634,91 +1582,17 @@ class MultiCoreSession:
         observers: Sequence[SessionObserver] = (),
         compiled: "Sequence[CompiledStream | None] | None" = None,
     ) -> "MultiCoreSession":
-        """Rebuild a running multi-core session from a snapshot.
+        """Rebuild a running multi-core session from a snapshot (or a
+        path to one).
 
         ``workloads`` must be equivalent instances (same construction
         parameters) of the snapshotted co-runners, in core order.
         ``compiled`` streams, when given, are again the *unshifted*
-        compilations; per-core relocation is reapplied here. The round-
-        robin pointer is part of the schedule state: the snapshot's
-        ``cores`` list is stored in *next-to-run-first* order, so
-        restart order matches the interrupted schedule exactly.
+        compilations; per-core relocation is reapplied. The scheduler
+        resumes at the snapshot's ``next_core``, so the restarted
+        schedule matches the interrupted one exactly.
         """
-        from repro.workloads.compile import offset_stream
-
-        if not isinstance(snapshot, SessionSnapshot):
-            snapshot = SessionSnapshot.load(snapshot)
-        if snapshot.cores is None:
-            raise SimulationError(
-                "snapshot holds a single-core session; restore it with "
-                "SimulationSession.restore"
-            )
-        states = snapshot.cores
-        workloads = list(workloads)
-        if len(workloads) != len(states):
-            raise SimulationError(
-                f"snapshot has {len(states)} cores but {len(workloads)} "
-                "workloads were supplied"
-            )
-        if compiled is None:
-            compiled_list: list["CompiledStream | None"] = [None] * len(states)
-        else:
-            compiled_list = list(compiled)
-            if len(compiled_list) != len(states):
-                raise SimulationError(
-                    f"snapshot has {len(states)} cores but "
-                    f"{len(compiled_list)} compiled streams were supplied"
-                )
-        # The pickled states list is rotated to encode the scheduler
-        # pointer; the caller's workloads/compiled lists are in core_id
-        # order. Match them up by core_id.
-        if sorted(s.core_id for s in states) != list(range(len(states))):
-            raise SimulationError(
-                f"snapshot core ids {sorted(s.core_id for s in states)} "
-                "are not contiguous"
-            )
-        cores: list[CoreContext] = [None] * len(states)  # type: ignore[list-item]
-        shared = None
-        for state in sorted(states, key=lambda s: s.core_id):
-            workload = workloads[state.core_id]
-            workload.address_offset = state.address_offset
-            stream = compiled_list[state.core_id]
-            if stream is not None:
-                stream = offset_stream(stream, state.address_offset)
-            session = SimulationSession._resume(
-                state,
-                workload,
-                observers=observers,
-                compiled=stream,
-                core_id=state.core_id,
-            )
-            port = session.cache.levels[-1]
-            session._shared_port = port
-            workload.object_map.namespace = f"c{state.core_id}"
-            if shared is None:
-                shared = port.shared_level
-            elif port.shared_level is not shared:
-                raise SimulationError(
-                    "restored cores do not share one LLC; the snapshot "
-                    "graph lost the shared identity"
-                )
-            cores[state.core_id] = CoreContext(
-                core_id=state.core_id,
-                workload=workload,
-                session=session,
-                port=port,
-                ratio=state.ratio,
-                compiled=stream,
-                self_by_object=dict(state.self_by_object),
-                contention_by_object=dict(state.contention_by_object),
-                unattributed_self=state.unattributed_self,
-                unattributed_contention=state.unattributed_contention,
-            )
-        restored = cls(
-            cores,
-            shared,
-            chunk_size=snapshot.chunk_size,
-            cost_model=snapshot.cost_model,
+        cores, next_core = _resume_cores(
+            snapshot, workloads, observers, compiled, multicore=True
         )
-        restored._next = states[0].core_id
-        return restored
+        return cls(cores, cores[0].port.shared_level, next_core=next_core)

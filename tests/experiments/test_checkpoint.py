@@ -73,7 +73,7 @@ class TestCheckpointPolicy:
         snapshot = policy.load(spec.key())
         assert snapshot is not None
         assert snapshot.version == SNAPSHOT_VERSION
-        assert snapshot.workload_name == "compress"
+        assert snapshot.cores[0].workload_name == "compress"
 
     def test_load_missing_returns_none(self, tmp_path):
         policy = CheckpointPolicy(tmp_path)
@@ -158,7 +158,7 @@ class TestExecuteTaskResume:
         leave_partial_checkpoint(policy, spec)
         path = policy.path_for(spec.key())
         payload = pickle.loads(path.read_bytes())
-        payload["snapshot"].blocks_fetched = 10**9
+        payload["snapshot"].cores[0].blocks_fetched = 10**9
         path.write_bytes(pickle.dumps(payload))
         result = execute_task(spec, policy)
         assert fingerprint(result) == fingerprint(execute_task(spec))

@@ -111,6 +111,30 @@ class TestExecuteTask:
             assert a.contention.self_by_object == b.contention.self_by_object
 
 
+    def test_checkpoints_after_a_finished_co_runner(self, runner, tmp_path):
+        """Checkpoints every 20 k references keep coming after compress
+        finishes its stream; the cell still equals the unchecked run."""
+        from repro.experiments.parallel import CheckpointPolicy
+
+        def summary(result):
+            return [
+                (
+                    unit.stats,
+                    unit.cache_stats,
+                    unit.component_stats,
+                    unit.contention,
+                    None if unit.actual is None else unit.actual.table(),
+                )
+                for unit in [result, *result.cores]
+            ]
+
+        spec = multicore_task(runner, ["compress", "ijpeg"])
+        policy = CheckpointPolicy(root=tmp_path, every_refs=20_000)
+        checked = execute_task(spec, checkpoint=policy)
+        assert summary(checked) == summary(execute_task(spec))
+        assert not list(tmp_path.glob("*.ckpt"))
+
+
 class TestDriver:
     def test_quick_report_shape(self, runner):
         report = run_multicore(

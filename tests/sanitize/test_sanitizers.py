@@ -26,7 +26,7 @@ from repro.sanitize.ledger import check_component, check_stats
 from repro.sanitize.rng import verify_cache_rng, verify_kernel_rng
 from repro.sanitize.snapshot import snapshot_canary
 from repro.sim.engine import Simulator
-from repro.sim.session import SimulationSession
+from repro.sim.session import MultiCoreSession, SimulationSession
 from repro.workloads.synthetic import SyntheticStreams
 
 CFG = CacheConfig(size=4096, line_size=64, assoc=2)
@@ -198,13 +198,33 @@ class TestSnapshotCanary:
 
     def test_lossy_scalar_fires(self):
         snap = self._session().snapshot()
-        snap.blocks_fetched = _DriftingInt(snap.blocks_fetched)
+        snap.cores[0].blocks_fetched = _DriftingInt(snap.cores[0].blocks_fetched)
         with pytest.raises(SanitizerError, match="blocks_fetched"):
+            snapshot_canary(snap)
+
+    def test_drifting_ledger_on_a_core_that_is_not_next_fires(self):
+        session = MultiCoreSession.start(
+            [
+                SyntheticStreams(
+                    {"A": (64 * 1024, 100)}, rounds=2, lines_per_round=1500, seed=s
+                )
+                for s in (3, 4)
+            ],
+            llc_config=CacheConfig(size=16 * 1024, assoc=2),
+            seed=5,
+        )
+        for _ in range(3):
+            session.step()
+        snap = session.snapshot()
+        other = next(i for i in range(len(snap.cores)) if i != snap.next_core)
+        stats = snap.cores[other].cache.stats
+        stats.misses = _DriftingInt(stats.misses)
+        with pytest.raises(SanitizerError, match=f"core {other} cache state"):
             snapshot_canary(snap)
 
     def test_unpicklable_snapshot_fires(self):
         snap = self._session().snapshot()
-        snap.workload_name = lambda: None  # pickle cannot serialise this
+        snap.cores[0].workload_name = lambda: None  # pickle cannot serialise this
         with pytest.raises(SanitizerError, match="pickle roundtrip"):
             snapshot_canary(snap)
 

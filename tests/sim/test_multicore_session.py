@@ -227,7 +227,7 @@ class TestSnapshotRestore:
         for _ in range(8):
             session.step()
         snap = session.snapshot()
-        assert snap.version == 4
+        assert snap.version == 5
         assert len(snap.cores) == 2
         with pytest.raises(SimulationError, match="multi-core"):
             SimulationSession.restore(snap, quick_workload("compress", quick_runner))
@@ -238,11 +238,54 @@ class TestSnapshotRestore:
         for _ in range(4):
             session.step()
         snap = session.snapshot()
-        assert snap.cores is None
+        assert len(snap.cores) == 1  # v5: one CoreState, no port
         with pytest.raises(SimulationError, match="SimulationSession.restore"):
             MultiCoreSession.restore(
                 snap, [quick_workload("compress", quick_runner)]
             )
+
+
+class TestFinishedCoreCheckpoints:
+    """A snapshot may hold a core that already used up its stream: it
+    records that core's final cursor, and the core resumes finished."""
+
+    CADENCE = 20_000
+
+    @staticmethod
+    def duo(runner):
+        return [
+            quick_workload("compress", runner),
+            quick_workload("ijpeg", runner),
+        ]
+
+    @pytest.fixture(scope="class")
+    def checkpointed(self, quick_runner):
+        session = MultiCoreSession.start(
+            self.duo(quick_runner), llc_config=LLC, l1_config=L1, seed=SEED
+        )
+        snaps = []
+        finished = session.run(
+            checkpoint_every_refs=self.CADENCE, on_checkpoint=snaps.append
+        )
+        return finished, snaps, outcome(session)
+
+    def test_checkpointed_run_completes(self, checkpointed, quick_runner):
+        finished, snaps, result = checkpointed
+        assert finished is True
+        assert result == outcome(stepped(MultiCoreSession.start(
+            self.duo(quick_runner), llc_config=LLC, l1_config=L1, seed=SEED
+        )))
+        # The last checkpoints come after compress finished its stream.
+        compress_stats = result[1][0]
+        assert snaps[-1].cores[0].stats.app_refs == compress_stats.app_refs
+
+    def test_resume_from_last_checkpoint_equals_uninterrupted(
+        self, checkpointed, quick_runner
+    ):
+        _, snaps, result = checkpointed
+        restored = MultiCoreSession.restore(snaps[-1], self.duo(quick_runner))
+        assert restored.run() is True
+        assert outcome(restored) == result
 
 
 class TestValidationAndObservers:
@@ -410,20 +453,20 @@ def outcome(session) -> list:
             )
         )
     for core in session.cores:
-        monitor = core.session.monitor
+        monitor = core.monitor
         out.append(
             (
                 monitor.total_misses_observed,
                 monitor.global_counter.value,
                 monitor.last_miss_addr,
                 monitor.recent_miss_addrs,
-                core.session.clock.now,
-                core.session._cycle_carry,
+                core.clock.now,
+                core._cycle_carry,
                 core.port.shadow.stats,
                 [
                     contents(level)
                     for level in (
-                        *core.session.cache.levels[:-1],
+                        *core.cache.levels[:-1],
                         core.port.shared_level.leaf,
                         core.port.shadow,
                     )
@@ -472,7 +515,7 @@ class TestFusedPath:
         policy = {"l1_policy" if level == "l1" else "llc_policy": random}
         apps = ["compress", "trace"]
         session = fused_session(apps, **policy)
-        assert not session.cores[0].session._chunk_invariant_kernels()
+        assert not session.cores[0]._chunk_invariant_kernels()
         with spy_fused() as fused:
             session.run()
         assert fused.call_count == 0
@@ -499,8 +542,8 @@ class TestFusedPath:
         session = session_for()
         with spy_fused() as fused:
             if setup == "checkpoint":
-                # One checkpoint, halfway: a later one could find a core
-                # already exhausted, which snapshots refuse.
+                # One checkpoint, halfway (a checkpoint may also come after
+                # a core finished; TestFinishedCoreCheckpoints covers that).
                 half = sum(compiled_for(app).n_refs for app in apps) // 2
                 snaps = []
                 session.run(checkpoint_every_refs=half, on_checkpoint=snaps.append)

@@ -26,6 +26,24 @@ from repro.workloads.synthetic import SyntheticStreams, TreeChaser
 CFG = CacheConfig(size=64 * 1024, assoc=2)
 
 
+#: The top-level fields of a v4 single-core snapshot.
+V4_TOP_LEVEL = (
+    "workload_name",
+    "blocks_fetched",
+    "block_pos",
+    "cycle_carry",
+    "refs_left",
+    "chunk_size",
+    "cost_model",
+    "clock",
+    "stats",
+    "cache",
+    "monitor",
+    "ground_truth",
+    "dispatcher",
+)
+
+
 def make_sim(**kw):
     return Simulator(CFG, seed=5, **kw)
 
@@ -298,7 +316,7 @@ class TestSnapshotRestore:
         path = session.snapshot().save(tmp_path / "x.snap")
         loaded = SessionSnapshot.load(path)
         assert loaded.version == SNAPSHOT_VERSION
-        assert loaded.workload_name == make_workload().name
+        assert loaded.cores[0].workload_name == make_workload().name
 
     def test_load_rejects_bad_version(self, tmp_path):
         session = make_sim().start_session(make_workload())
@@ -308,6 +326,26 @@ class TestSnapshotRestore:
         snap.save(tmp_path / "x.snap")
         with pytest.raises(SimulationError, match="version"):
             SessionSnapshot.load(tmp_path / "x.snap")
+
+    def test_v4_snapshots_refused_by_path_and_version(self, tmp_path):
+        """A file in the v4 layout (one core's fields at top level) is
+        refused naming the file and its version; so is the same object
+        handed to restore in memory."""
+        session = make_sim().start_session(make_workload())
+        session.step()
+        core = session.snapshot().cores[0]
+        legacy = SessionSnapshot.__new__(SessionSnapshot)
+        legacy.__dict__.update(
+            {name: getattr(core, name) for name in V4_TOP_LEVEL},
+            version=4,
+            cores=None,
+        )
+        path = tmp_path / "old.snap"
+        path.write_bytes(pickle.dumps(legacy))
+        with pytest.raises(SimulationError, match=r"old\.snap version 4 incompatible"):
+            SessionSnapshot.load(path)
+        with pytest.raises(SimulationError, match="version 4 incompatible"):
+            SimulationSession.restore(pickle.loads(path.read_bytes()), make_workload())
 
     @pytest.mark.parametrize("keep", [0.0, 0.5, 0.99])
     def test_load_rejects_truncated_file(self, tmp_path, keep):
@@ -345,7 +383,7 @@ class TestSnapshotRestore:
         session = make_sim().start_session(make_workload())
         session.step()
         snap = session.snapshot()
-        snap.cache = DirectMappedCache()
+        snap.cores[0].cache = DirectMappedCache()
         snap.save(tmp_path / "x.snap")
         monkeypatch.undo()
         with pytest.raises(SimulationError, match=rf"x\.snap: {error}"):

@@ -51,8 +51,9 @@ def fingerprint(result):
 
 
 def test_snapshot_version_bumped_for_draw_accounting():
-    # v3 added RNG draw accounting; v4 added the multi-core `cores` entry.
-    assert SNAPSHOT_VERSION == 4
+    # v3 added RNG draw accounting; v4 added the multi-core `cores` entry;
+    # v5 made `cores` the one shape for every session.
+    assert SNAPSHOT_VERSION == 5
 
 
 def test_decorated_restore_bit_identical():
