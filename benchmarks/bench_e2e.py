@@ -19,9 +19,17 @@ Alongside the quick cases, a ``*-steady`` group scales each workload's
 *time* dimension 4x at the same memory footprint. Quick runs are so
 short that per-run fixed costs (session setup, stream-cache load,
 finalize) eat a visible fraction of the wall time; the steady cases show
-the amortised throughput longer experiments actually see. Both groups
-land in ``BENCH_e2e.json`` with environment metadata for the CI perf
-gate (see EXPERIMENTS.md).
+the amortised throughput longer experiments actually see.
+
+The ``*-sampling`` and ``*-search`` cases time the instrumented path the
+paper is about: :data:`INSTRUMENTED_APP` at quick size under the Table 1
+sampling profiler and 10-way search, with the period and interval the
+experiment runner picks for it. Sampling cuts the stream into kernel
+calls that each stop at the period's next miss, and the search
+reprograms counters on every timer interrupt, so these cases pay
+per-call costs the bulk runs never see. Both paths must measure the same profile before any timing
+is recorded. All groups land in ``BENCH_e2e.json`` with environment
+metadata for the CI perf gate (see EXPERIMENTS.md).
 
 Usage::
 
@@ -42,12 +50,18 @@ from pathlib import Path
 from bench_env import environment
 
 from repro.cache.config import CacheConfig
-from repro.experiments.runner import _QUICK_KWARGS
+from repro.core.sampling import SamplingProfiler
+from repro.core.search import NWaySearch
+from repro.experiments.runner import _QUICK_KWARGS, ExperimentRunner, RunnerConfig
 from repro.sim.engine import Simulator
 from repro.workloads.compile import compiled_stream_for
 from repro.workloads.registry import make_workload, workload_names
 
 SEED = 1234
+
+#: The application of the instrumented cases: its misses are sparse, so
+#: a sampling budget spans several of the array kernel's budget windows.
+INSTRUMENTED_APP = "compress"
 
 #: Same footprints as the quick suite, 4x the time dimension: more
 #: steps/iterations over the same arrays, so cache behaviour per
@@ -74,18 +88,19 @@ def _simulators(stream_dir: str) -> tuple[Simulator, Simulator]:
     return gen, fast
 
 
-def _time_run(sim: Simulator, app: str, kwargs: dict, repeats: int):
+def _time_run(sim: Simulator, app: str, kwargs: dict, repeats: int, tool=None):
     """Best-of-``repeats`` wall seconds for one full ``Simulator.run``.
 
     A fresh workload instance per repeat keeps the generator path honest:
     reusing one instance would let ``reset()`` skim preparation work the
-    first run paid.
+    first run paid. ``tool`` builds a fresh instrumentation tool per run.
     """
     best, stats = float("inf"), None
     for _ in range(repeats):
         workload = make_workload(app, seed=SEED, **kwargs)
+        run_tool = None if tool is None else tool()
         t0 = time.perf_counter()
-        result = sim.run(workload)
+        result = sim.run(workload, tool=run_tool)
         elapsed = time.perf_counter() - t0
         best = min(best, elapsed)
         if stats is None:
@@ -98,6 +113,33 @@ def _time_run(sim: Simulator, app: str, kwargs: dict, repeats: int):
     return best, stats
 
 
+def _instrumented_tools(app: str) -> dict:
+    """Table 1's sampling profiler and 10-way search for ``app`` at quick
+    size, with the period and interval the experiment runner picks."""
+    runner = ExperimentRunner(RunnerConfig(seed=SEED), quick=True)
+    period = runner.scaled_sampling_period(app)
+    interval = runner.search_interval(app)
+    return {
+        "sampling": lambda: SamplingProfiler(period=period, seed=SEED),
+        "search": lambda: NWaySearch(n=10, interval_cycles=interval),
+    }
+
+
+def _same_measured_profile(
+    name: str, app: str, kwargs: dict, gen: Simulator, fast: Simulator, tool
+) -> None:
+    """Both paths must measure the same profile under ``tool``."""
+    profiles = [
+        sim.run(make_workload(app, seed=SEED, **kwargs), tool=tool()).measured
+        for sim in (gen, fast)
+    ]
+    if profiles[0].as_dict() != profiles[1].as_dict():
+        raise AssertionError(
+            f"{name}: compiled path measured a different profile from the "
+            "generator path"
+        )
+
+
 def bench_case(
     name: str,
     app: str,
@@ -105,14 +147,17 @@ def bench_case(
     gen: Simulator,
     fast: Simulator,
     repeats: int,
+    tool=None,
 ) -> dict:
     # Warm the stream cache so timed runs measure the steady state an
     # experiment grid sees (cached load), not one-off compilation.
     compiled_stream_for(
         make_workload(app, seed=SEED, **kwargs), fast.stream_cache_dir
     )
-    gen_best, gen_stats = _time_run(gen, app, kwargs, repeats)
-    fast_best, fast_stats = _time_run(fast, app, kwargs, repeats)
+    if tool is not None:
+        _same_measured_profile(name, app, kwargs, gen, fast, tool)
+    gen_best, gen_stats = _time_run(gen, app, kwargs, repeats, tool)
+    fast_best, fast_stats = _time_run(fast, app, kwargs, repeats, tool)
     if (gen_stats.app_misses, gen_stats.app_refs) != (
         fast_stats.app_misses,
         fast_stats.app_refs,
@@ -139,6 +184,14 @@ def bench_case(
         },
         "speedup_compiled_vs_generator": round(gen_best / fast_best, 2),
     }
+
+
+def _print_case(case: dict) -> None:
+    print(
+        f"{case['case']:>16}: {case['refs']:>9,} refs  "
+        f"compiled {case['paths']['compiled']['refs_per_sec']:>11,} refs/s  "
+        f"speedup {case['speedup_compiled_vs_generator']:.2f}x"
+    )
 
 
 def _aggregate(cases: list[dict], group: str) -> dict:
@@ -192,18 +245,17 @@ def main(argv: list[str] | None = None) -> int:
                 )
                 group_cases.append(case)
                 results.append(case)
-                print(
-                    f"{name:>16}: {case['refs']:>9,} refs  "
-                    f"compiled {case['paths']['compiled']['refs_per_sec']:>11,} refs/s  "
-                    f"speedup {case['speedup_compiled_vs_generator']:.2f}x"
-                )
+                _print_case(case)
             agg = _aggregate(group_cases, group)
             results.append(agg)
-            print(
-                f"{agg['case']:>16}: {agg['refs']:>9,} refs  "
-                f"compiled {agg['paths']['compiled']['refs_per_sec']:>11,} refs/s  "
-                f"speedup {agg['speedup_compiled_vs_generator']:.2f}x"
+            _print_case(agg)
+        app = INSTRUMENTED_APP
+        for kind, tool in _instrumented_tools(app).items():
+            case = bench_case(
+                f"{app}-{kind}", app, _QUICK_KWARGS[app], gen, fast, args.repeats, tool
             )
+            results.append(case)
+            _print_case(case)
 
     payload = {
         "benchmark": "end-to-end-simulator",

@@ -61,11 +61,13 @@ import numpy as np
 from repro import sanitize
 from repro.cache.base import AccessResult, CacheModel, CacheStats
 from repro.cache.config import CacheConfig, MechanismSpec, parse_mechanisms
-from repro.cache.kernels.base import KernelResult, empty_result
+from repro.cache.kernels.base import (
+    KernelResult,
+    budget_windows,
+    check_miss_budget,
+    empty_result,
+)
 from repro.errors import CacheConfigError
-
-#: References in a decorator's first window under a small miss budget.
-_FIRST_WINDOW = 256
 
 
 class CacheComponent(CacheModel):
@@ -202,28 +204,27 @@ class MechanismDecorator(CacheComponent):
         writes: np.ndarray | None = None,
         victims: bool = False,
     ) -> KernelResult:
+        check_miss_budget(miss_budget)
         n = len(addrs)
         if n == 0:
             return empty_result(victims)
         addrs = np.asarray(addrs, dtype=np.uint64)
         inner = self.inner
         snap = inner.state_snapshot() if miss_budget is not None else None
-        # Under a budget the wrapped component runs in doubling windows,
-        # so it overshoots the budget-th miss by about one window (the
-        # wrapped stack gives the same results however its stream is cut
-        # into calls). Sampling budgets are tens of misses against calls
-        # of up to 32 Ki references: running the whole call once and
-        # rolling back, as Pipeline does, made `repro table1 --quick
+        # Under a budget the wrapped component runs in the shared budget
+        # windows, so it overshoots the budget-th miss by about one window
+        # (the wrapped stack gives the same results however its stream is
+        # cut into calls). Sampling budgets are tens of misses against
+        # calls of up to 32 Ki references: running the whole call once
+        # and rolling back, as Pipeline does, made `repro table1 --quick
         # --mechanism vc --backend array` 1.57x slower (median of 10
         # alternating runs, 20.7 s vs 13.2 s, 2-vCPU x86-64 VM).
-        span = n if miss_budget is None else max(_FIRST_WINDOW, 4 * miss_budget)
         left = miss_budget
         out_at: list[np.ndarray] = []
         leaving: list[int] = []
-        lo = hi = 0
+        hi = 0
         consumed = n
-        while hi < n:
-            hi = min(n, lo + span)
+        for lo, hi in budget_windows(n, miss_budget):
             res = inner._chunk_access(
                 addrs[lo:hi],
                 writes=None if writes is None else writes[lo:hi],
@@ -242,8 +243,6 @@ class MechanismDecorator(CacheComponent):
                 if left == 0:
                     consumed = int(at[walked - 1]) + 1
                     break
-            lo = hi
-            span *= 2
         if consumed < hi:
             # The walk stopped at the budget-th post-mechanism miss; the
             # wrapped component must not keep the references past it,
@@ -582,6 +581,7 @@ class Pipeline(CacheComponent):
         # refill-on-empty RANDOM draw rule, which every kernel in a
         # decorated stack must follow to stay chunk-invariant. Upper
         # levels therefore report victims that nothing reads.
+        check_miss_budget(miss_budget)
         n = len(addrs)
         addrs = np.asarray(addrs, dtype=np.uint64)
         uppers = self.levels[:-1]

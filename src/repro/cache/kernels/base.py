@@ -21,11 +21,17 @@ draw rule: the pool is never pre-sized, it is refilled with
 :data:`VICTIM_POOL_REFILL` fresh draws whenever an eviction finds it
 empty. Draws then depend on the eviction count alone, so a decorated
 stack gives the same results however its stream is cut into calls.
+
+A call under a ``miss_budget`` usually stops long before the end of the
+chunk it is offered. :func:`budget_windows` is the one rule for running
+such a call in growing windows, so its cost follows the references it
+consumes: the array kernel and the mechanism decorators both use it.
 """
 
 from __future__ import annotations
 
 import abc
+from collections.abc import Iterator
 from typing import NamedTuple
 
 import numpy as np
@@ -36,6 +42,44 @@ from repro.util.rng import make_rng
 #: Fresh RANDOM draws taken when a victim-reporting call finds the
 #: eviction pool empty (the refill-on-empty draw rule).
 VICTIM_POOL_REFILL = 4096
+
+#: Least number of references in the first window of a budgeted call.
+FIRST_WINDOW = 256
+
+
+def check_miss_budget(miss_budget: int | None) -> None:
+    """Refuse a miss budget below 1.
+
+    A caller whose counter is already due delivers that overflow instead
+    of asking for zero more misses; a budget below 1 is a caller bug that
+    every backend would otherwise read differently.
+    """
+    if miss_budget is not None and miss_budget < 1:
+        from repro.errors import SimulationError
+
+        raise SimulationError(
+            f"miss_budget must be None or at least 1, got {miss_budget}"
+        )
+
+
+def budget_windows(n: int, miss_budget: int | None) -> Iterator[tuple[int, int]]:
+    """``(lo, hi)`` bounds of the windows a chunk of ``n`` runs in.
+
+    With no budget the whole chunk is one window. Under a budget the
+    first window holds ``max(FIRST_WINDOW, 4 * miss_budget)`` references
+    and each later one twice as many as the one before, so a call whose
+    budget runs out early pays for about what it consumes, and a call
+    that never reaches its budget takes O(log n) windows. The caller
+    stops taking windows once its budget is spent.
+    """
+    if miss_budget is None:
+        yield 0, n
+        return
+    lo, span = 0, max(FIRST_WINDOW, 4 * miss_budget)
+    while lo < n:
+        hi = min(n, lo + span)
+        yield lo, hi
+        lo, span = hi, 2 * span
 
 
 class KernelResult(NamedTuple):

@@ -38,10 +38,21 @@ property tests:
 
 The rounds pass cannot express a global miss-budget cut (the cut point
 depends on the interleaved global miss order) or RANDOM eviction (pool
-pops happen in global miss order), so those cases fall back to the
-sequential tail: touched sets are materialised lazily as small
-logical-order Python lists and written back to the arrays at the end of
-the chunk.
+pops happen in global miss order), so those cases, calls too short for
+any vectorised phase and the rounds pass's single-set pile-ups all run
+one sequential tail: touched sets are materialised lazily as small
+logical-order Python lists and written back to the arrays in one
+batched scatter at the end.
+
+A call under a ``miss_budget`` runs in the windows of
+:func:`~repro.cache.kernels.base.budget_windows`: the fast path sees a
+window of ``max(256, 4 * budget)`` references first, then windows twice
+as long, each with the budget left over, and the call stops at the
+window where the budget runs out. Sampling calls are offered thousands
+of references but consume a few hundred, so every phase above is paid
+on about what the call consumes. Windows change no result: state
+carries over between them exactly, and RANDOM's eviction pool is sized
+once from the offered chunk before the first window.
 
 When a write mask or the next-line prefetcher is active the kernel runs
 a full sequential mirror of the reference loop over a flat list copy of
@@ -53,20 +64,24 @@ A ``victims=True`` call (mechanism decorators) takes the same phases and
 reads each miss's victim off the state it replaces: a fill run's victim
 is the tag under its slot before the run, or the fill ``assoc`` places
 earlier in its set; a rounds-tail miss's victim is the tag in the
-gathered row. Every sequential part (the tail, the rounds tail's
-fallback, write masks) runs the shared victim walk over lazily built
-set lists, under the refill-on-empty RANDOM draw rule.
+gathered row. Every sequential part (the tail, calls too short for a
+vectorised phase, the rounds tail's fallback, write masks) runs the
+shared victim walk over lazily built set lists, under the
+refill-on-empty RANDOM draw rule.
 """
 
 from __future__ import annotations
 
 import copy
+from collections.abc import Iterable
 
 import numpy as np
 
 from repro.cache.kernels.base import (
     KernelResult,
     SetKernel,
+    budget_windows,
+    check_miss_budget,
     empty_result,
     victim_result,
 )
@@ -106,6 +121,20 @@ def _fast_result(
     ).astype(bool)
     victims = None if vic is None else vic[:consumed][miss_mask]
     return KernelResult(miss_mask, consumed, misses, writebacks, 0, victims)
+
+
+def _joined(parts: list[KernelResult], victims: bool) -> KernelResult:
+    """One call's result from the results of its consecutive windows."""
+    return KernelResult(
+        np.concatenate([p.miss_mask for p in parts]),
+        sum(p.consumed for p in parts),
+        sum(p.misses for p in parts),
+        sum(p.writebacks for p in parts),
+        0,
+        np.concatenate([p.victims for p in parts if p.victims is not None])
+        if victims
+        else None,
+    )
 
 
 class ArrayKernel(SetKernel):
@@ -188,22 +217,52 @@ class ArrayKernel(SetKernel):
         writes: np.ndarray | None = None,
         victims: bool = False,
     ) -> KernelResult:
+        check_miss_budget(miss_budget)
         n = len(addrs)
         if n == 0:
             return empty_result(victims)
         lines_arr = np.asarray(addrs, dtype=np.uint64) >> self.line_bits
-        if victims:
-            if writes is None:
-                return self._access_fast(lines_arr, miss_budget, victims=True)
+        if victims and writes is not None:
             miss_pos, evicted, writebacks = self._walk_sets(
                 lines_arr.tolist(), writes.tolist(), miss_budget
             )
             return victim_result(n, miss_pos, evicted, writebacks, miss_budget)
-        if self.policy is ReplacementPolicy.RANDOM:
-            self._ensure_rand_pool(n)
-        if writes is not None or self.prefetch_next_line:
-            return self._access_exact(lines_arr, miss_budget, writes)
-        return self._access_fast(lines_arr, miss_budget)
+        if not victims:
+            if self.policy is ReplacementPolicy.RANDOM:
+                # Sized once from the offered chunk, never per window.
+                self._ensure_rand_pool(n)
+            if writes is not None or self.prefetch_next_line:
+                return self._access_exact(lines_arr, miss_budget, writes)
+        if n < self._rounds_min:
+            return self._access_short(lines_arr.tolist(), miss_budget, victims)
+        parts: list[KernelResult] = []
+        left = miss_budget
+        for lo, hi in budget_windows(n, miss_budget):
+            part = self._access_fast(lines_arr[lo:hi], left, victims)
+            parts.append(part)
+            if left is not None:
+                left -= part.misses
+                if left == 0:
+                    break
+        return parts[0] if len(parts) == 1 else _joined(parts, victims)
+
+    def _access_short(
+        self, lines: list[int], miss_budget: int | None, victims: bool
+    ) -> KernelResult:
+        """A call too short for any vectorised phase: straight to the
+        sequential tail (or, for ``victims``, the victim walk)."""
+        n = len(lines)
+        if victims:
+            miss_pos, evicted, writebacks = self._walk_sets(
+                lines, budget=miss_budget
+            )
+            return victim_result(n, miss_pos, evicted, writebacks, miss_budget)
+        miss_flags = bytearray(n)
+        misses, writebacks, stop = self._seq_tail(
+            lines, range(n), miss_flags, miss_budget
+        )
+        consumed = n if stop is None else stop
+        return _fast_result(miss_flags, consumed, misses, writebacks, None)
 
     # ----------------------------------------------------- sequential mirror
 
@@ -571,14 +630,15 @@ class ArrayKernel(SetKernel):
             writebacks += tail_wb
             return _fast_result(miss_flags, consumed, misses, writebacks, vic)
 
-        # Scattered certified-hit pass before the sequential tail: any
-        # remaining leader that is resident AND precedes its own set's
-        # first non-resident leader must hit — other sets' misses can't
-        # evict it. Promote those wholesale and drop them from the tail.
-        # With a budget the LRU variant is unsound: a mid-tail stop makes
-        # the caller replay leaders whose promotes were already applied.
-        seq_leaders = None
+        seq: slice | np.ndarray = slice(start, n_lead)
         if rem >= 256 and (budget is None or not lru):
+            # Scattered certified-hit pass before the sequential tail:
+            # any remaining leader that is resident AND precedes its own
+            # set's first non-resident leader must hit — other sets'
+            # misses can't evict it. Promote those wholesale and drop them
+            # from the tail. With a budget the LRU variant is unsound: a
+            # mid-tail stop makes the caller replay leaders whose promotes
+            # were already applied.
             ll = leader_lines[start:]
             ss = sets_all[start:]
             resident = self._resident_mask(ss, ll)
@@ -592,17 +652,16 @@ class ArrayKernel(SetKernel):
             if certified.any():
                 if lru:
                     self._promote_run(arrays, ss[certified], ll[certified])
-                seq_leaders = (np.flatnonzero(~certified) + start).tolist()
+                seq = np.flatnonzero(~certified) + start
+                if not seq.size:
+                    return _fast_result(
+                        miss_flags, consumed, misses, writebacks, vic
+                    )
 
-        if seq_leaders is None:
-            seq_leaders = range(start, n_lead)
-        if not seq_leaders:
-            return _fast_result(miss_flags, consumed, misses, writebacks, vic)
+        seq_lines = leader_lines[seq].tolist()
         if vic is not None:
-            seq_pos = leader_pos[seq_leaders]
-            miss_idx, evicted, wb = self._walk_sets(
-                leader_lines[seq_leaders].tolist(), budget=budget
-            )
+            seq_pos = leader_pos[seq]
+            miss_idx, evicted, wb = self._walk_sets(seq_lines, budget=budget)
             miss_at = seq_pos[miss_idx]
             mf[miss_at] = 1
             vic[miss_at] = evicted
@@ -611,70 +670,14 @@ class ArrayKernel(SetKernel):
             return _fast_result(
                 miss_flags, consumed, misses + len(miss_idx), writebacks + wb, vic
             )
-
-        # -------- sequential tail: lazily materialise touched sets as
-        # small logical-order Python lists (membership over <= assoc
-        # boxed ints, pop/append mutations) with dirtiness tracked by
-        # line value — the same shapes the reference kernel uses. Only
-        # touched sets pay conversion, and they are written back to the
-        # arrays once at the end of the chunk.
-        lines = lines_arr.tolist()
-        lp = leader_pos.tolist()
-        head_np = self._head_np
-        cnt_np = self._cnt_np
-        dirty2d = self._dirty2d
-        rand_pool = self._rand_pool
-        n_dirty = self._n_dirty
-        had_dirty = n_dirty > 0
-        last = [-1] * self.n_sets  # chunk-local; conservative and sound
-        slists = [None] * self.n_sets
-        touched = []  # set indices materialised in ``slists``
-        dirty_set = set()  # dirty line values of touched sets
-
-        for li in seq_leaders:
-            i = lp[li]
-            line = lines[i]
-            s_idx = line & set_mask
-            if last[s_idx] == line:
-                continue  # repeat of the set's most recent line: pure hit
-            last[s_idx] = line
-            s = slists[s_idx]
-            if s is None:
-                row = tags2d[s_idx].tolist()
-                h = int(head_np[s_idx])
-                if h:  # head != 0 implies a full set
-                    s = row[h:] + row[:h]
-                else:
-                    s = row[: int(cnt_np[s_idx])]
-                slists[s_idx] = s
-                touched.append(s_idx)
-                if had_dirty:
-                    for t_val, d_val in zip(row, dirty2d[s_idx].tolist()):
-                        if d_val:
-                            dirty_set.add(t_val)
-            if line in s:
-                if lru and s[-1] != line:
-                    s.remove(line)
-                    s.append(line)
-            else:
-                miss_flags[i] = 1
-                misses += 1
-                if len(s) >= assoc:
-                    victim = s.pop(rand_pool.pop()) if random_policy else s.pop(0)
-                    if n_dirty and victim in dirty_set:
-                        writebacks += 1
-                        dirty_set.discard(victim)
-                        n_dirty -= 1
-                s.append(line)
-                if budget is not None:
-                    budget -= 1
-                    if budget == 0:
-                        consumed = i + 1
-                        break
-
-        self._store_sets(touched, slists, dirty_set if had_dirty else None)
-        self._n_dirty = n_dirty
-        return _fast_result(miss_flags, consumed, misses, writebacks, None)
+        tail_misses, tail_wb, stop = self._seq_tail(
+            seq_lines, leader_pos[seq].tolist(), miss_flags, budget
+        )
+        if stop is not None:
+            consumed = stop
+        return _fast_result(
+            miss_flags, consumed, misses + tail_misses, writebacks + tail_wb, None
+        )
 
     # --------------------------------------------------- vectorised phases
 
@@ -736,7 +739,10 @@ class ArrayKernel(SetKernel):
             # Pathological single-set pile-up: per-round selections would
             # be tiny, so the sequential tail is the faster mirror.
             if vic is None:
-                return self._tail_python(ll, ss, pos, mf)
+                misses, wb, _ = self._seq_tail(
+                    ll.tolist(), pos.tolist(), mf, None
+                )
+                return misses, wb
             miss_idx, evicted, wb = self._walk_sets(ll.tolist())
             miss_at = pos[miss_idx]
             mf[miss_at] = 1
@@ -821,46 +827,52 @@ class ArrayKernel(SetKernel):
         self._n_dirty -= writebacks
         return misses, writebacks
 
-    def _tail_python(
+    def _seq_tail(
         self,
-        ll: np.ndarray,
-        ss: np.ndarray,
-        pos: np.ndarray,
-        mf: np.ndarray,
-    ) -> tuple[int, int]:
-        """Budget-free sequential tail over an explicit leader list —
-        the rounds tail's fallback for degenerate set distributions."""
+        lines: list[int],
+        positions: Iterable[int],
+        miss_flags: bytearray | np.ndarray,
+        budget: int | None,
+    ) -> tuple[int, int, int | None]:
+        """Apply ``lines`` one reference at a time, under any policy.
+
+        The one sequential tail of a call without victims: whole calls
+        too short for a vectorised phase, the leaders the fast path
+        leaves over, and the rounds tail's pile-ups. ``positions`` gives
+        each line's index in the chunk, where a miss is flagged in
+        ``miss_flags``. Touched sets are materialised on first touch as
+        small logical-order Python lists (membership over <= assoc boxed
+        ints, pop/append mutations) with dirtiness tracked by line
+        value, the shapes the reference kernel uses, and written back in
+        one batched scatter at the end. Stops after the ``budget``-th
+        miss. Returns ``(misses, writebacks, stop)``: ``stop`` is the
+        chunk index just past the budget-th miss, or None when the
+        budget was not reached.
+        """
         tags2d = self._tags2d
         dirty2d = self._dirty2d
         head_np = self._head_np
         cnt_np = self._cnt_np
+        set_mask = self.set_mask
         assoc = self.assoc
         lru = self.policy is ReplacementPolicy.LRU
+        random_policy = self.policy is ReplacementPolicy.RANDOM
+        rand_pool = self._rand_pool
         n_dirty = self._n_dirty
         had_dirty = n_dirty > 0
+        sets: dict[int, list[int]] = {}  # touched set -> its line list
+        dirty_set: set[int] = set()  # dirty line values of touched sets
         misses = 0
         writebacks = 0
-        lines = ll.tolist()
-        sets = ss.tolist()
-        positions = pos.tolist()
-        last = [-1] * self.n_sets
-        slists = [None] * self.n_sets
-        touched = []
-        dirty_set = set()
-        for line, s_idx, i in zip(lines, sets, positions):
-            if last[s_idx] == line:
-                continue
-            last[s_idx] = line
-            s = slists[s_idx]
+        stop = None
+        for line, i in zip(lines, positions):
+            s_idx = line & set_mask
+            s = sets.get(s_idx)
             if s is None:
                 row = tags2d[s_idx].tolist()
-                h = int(head_np[s_idx])
-                if h:
-                    s = row[h:] + row[:h]
-                else:
-                    s = row[: int(cnt_np[s_idx])]
-                slists[s_idx] = s
-                touched.append(s_idx)
+                h = head_np.item(s_idx)
+                s = row[h:] + row[:h] if h else row[: cnt_np.item(s_idx)]
+                sets[s_idx] = s
                 if had_dirty:
                     for t_val, d_val in zip(row, dirty2d[s_idx].tolist()):
                         if d_val:
@@ -869,44 +881,52 @@ class ArrayKernel(SetKernel):
                 if lru and s[-1] != line:
                     s.remove(line)
                     s.append(line)
-            else:
-                mf[i] = 1
-                misses += 1
-                if len(s) >= assoc:
-                    victim = s.pop(0)  # LRU/FIFO only: head eviction
-                    if n_dirty and victim in dirty_set:
-                        writebacks += 1
-                        dirty_set.discard(victim)
-                        n_dirty -= 1
-                s.append(line)
-        self._store_sets(touched, slists, dirty_set if had_dirty else None)
+                continue
+            miss_flags[i] = 1
+            misses += 1
+            if len(s) >= assoc:
+                victim = s.pop(rand_pool.pop()) if random_policy else s.pop(0)
+                if n_dirty and victim in dirty_set:
+                    writebacks += 1
+                    dirty_set.discard(victim)
+                    n_dirty -= 1
+            s.append(line)
+            if misses == budget:
+                stop = i + 1
+                break
+        self._store_sets(
+            list(sets), list(sets.values()), dirty_set if had_dirty else None
+        )
         self._n_dirty = n_dirty
-        return misses, writebacks
+        return misses, writebacks, stop
 
     def _store_sets(
-        self, touched: list[int], slists: list, dirty_set: set[int] | None
+        self,
+        touched: list[int],
+        set_lines: list[list[int]],
+        dirty_set: set[int] | None,
     ) -> None:
-        """Write materialised set lists back to the arrays (head
-        normalised to 0, empty ways cleared and clean). ``dirty_set``
-        None means no touched line can be dirty."""
-        tags2d = self._tags2d
-        dirty2d = self._dirty2d
-        head_np = self._head_np
-        cnt_np = self._cnt_np
-        for s_idx in touched:
-            s = slists[s_idx]
-            c = len(s)
-            row = tags2d[s_idx]
-            row[:c] = s
-            row[c:] = _EMPTY
-            cnt_np[s_idx] = c
-            head_np[s_idx] = 0
-            if dirty_set is not None:
-                drow = dirty2d[s_idx]
-                drow[:] = 0
-                for j, ln in enumerate(s):
-                    if ln in dirty_set:
-                        drow[j] = 1
+        """Write the logical-order ``set_lines`` of the ``touched`` sets
+        back to the arrays in one batched scatter (head normalised to 0,
+        empty ways cleared and clean). ``dirty_set`` None means no
+        touched line can be dirty."""
+        if not touched:
+            return
+        assoc = self.assoc
+        pad = [_EMPTY] * assoc
+        flat: list[int] = []
+        for s in set_lines:
+            flat += s
+            if len(s) < assoc:
+                flat += pad[len(s) :]
+        idx = np.array(touched)
+        self._tags2d[idx] = np.array(flat, dtype=np.int64).reshape(-1, assoc)
+        self._cnt_np[idx] = [len(s) for s in set_lines]
+        self._head_np[idx] = 0
+        if dirty_set is not None:
+            self._dirty2d[idx] = np.array(
+                [ln in dirty_set for ln in flat], dtype=np.int64
+            ).reshape(-1, assoc)
 
     def _walk_sets(
         self,
@@ -943,7 +963,11 @@ class ArrayKernel(SetKernel):
         track_dirty = had_dirty or write_flags is not None
         if track_dirty:
             self._n_dirty += len(dirty) - int(dirty2d[touched].sum())
-        self._store_sets(touched, slists, dirty if track_dirty else None)
+        self._store_sets(
+            touched,
+            [slists[s_idx] for s_idx in touched],
+            dirty if track_dirty else None,
+        )
         return miss_idx, victims, writebacks
 
     def _promote_run(

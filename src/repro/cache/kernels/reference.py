@@ -19,6 +19,7 @@ import numpy as np
 from repro.cache.kernels.base import (
     KernelResult,
     SetKernel,
+    check_miss_budget,
     empty_result,
     victim_result,
 )
@@ -76,6 +77,7 @@ class ReferenceKernel(SetKernel):
         writes: np.ndarray | None = None,
         victims: bool = False,
     ) -> KernelResult:
+        check_miss_budget(miss_budget)
         n = len(addrs)
         if n == 0:
             return empty_result(victims)

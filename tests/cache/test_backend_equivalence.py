@@ -17,9 +17,11 @@ import dataclasses
 import numpy as np
 import pytest
 
+from repro.cache import components
+from repro.cache.components import VictimCache
 from repro.cache.config import CacheConfig
 from repro.cache.hierarchy import TwoLevelCache
-from repro.cache.kernels import KERNEL_BACKENDS, ArrayKernel
+from repro.cache.kernels import KERNEL_BACKENDS, ArrayKernel, base, flat
 from repro.cache.policies import ReplacementPolicy
 from repro.cache.set_assoc import SetAssociativeCache
 
@@ -363,6 +365,157 @@ class TestVictimReports:
             writes.append(rng.random(len(chunks[-1])) < 0.3)
         replay_victims(cfg, chunks, budgets, writes, seed=7)
         assert victim_paths["write-mask path"] > 0
+
+
+def budget_stream(rng, n, miss_at, hot):
+    """``n`` references to resident ``hot`` lines, except cold
+    (never-seen) lines at the positions ``miss_at``."""
+    lines = rng.choice(hot, n).astype(np.uint64)
+    lines[np.asarray(miss_at, dtype=np.int64)] = 1_000_000 + np.arange(
+        len(miss_at), dtype=np.uint64
+    )
+    return addrs_of_lines(lines)
+
+
+def warm_pair(cfg, hot, seed=11):
+    ref, arr = make_pair(cfg, seed=seed)
+    for cache in (ref, arr):
+        cache.access(addrs_of_lines(hot))
+    return ref, arr
+
+
+class TestBudgetWindows:
+    """Budgeted calls run in the windows of ``budget_windows``; every
+    backend must cut them at the same reference wherever the budget-th
+    miss falls relative to the windows."""
+
+    CFG = CacheConfig(size=64 * 1024, assoc=4)
+    HOT = np.arange(512, dtype=np.uint64)
+
+    def cut(self, n, miss_at, budget):
+        """Replay one budgeted chunk to its end on both backends; returns
+        where the first call stopped."""
+        ref, arr = warm_pair(self.CFG, self.HOT)
+        chunk = budget_stream(np.random.default_rng(3), n, miss_at, self.HOT)
+        ra = ref.access(chunk, miss_budget=budget)
+        rb = arr.access(chunk, miss_budget=budget)
+        assert (ra.consumed, ra.miss_mask.tolist()) == (
+            rb.consumed,
+            rb.miss_mask.tolist(),
+        )
+        replay(ref, arr, [chunk[ra.consumed :]], budgets=[budget])
+        assert ref.stats.__dict__ == arr.stats.__dict__
+        assert_same_state(ref, arr, self.CFG)
+        return ra.consumed
+
+    def test_budget_runs_out_on_a_window_last_reference(self):
+        budget = 10
+        first = max(base.FIRST_WINDOW, 4 * budget)
+        miss_at = list(range(first - budget, first)) + [first + 40, 2000]
+        assert self.cut(3000, miss_at, budget) == first
+
+    def test_budget_runs_out_on_the_chunk_last_reference(self):
+        n, budget = 700, 10
+        assert [hi for _, hi in base.budget_windows(n, budget)] == [256, 700]
+        miss_at = [5, 90, 200, 255, 256, 300, 420, 512, 600, n - 1]
+        assert self.cut(n, miss_at, budget) == n
+
+    def test_budget_never_reached_across_doublings(self):
+        n, budget = 5000, 50
+        assert len(list(base.budget_windows(n, budget))) >= 4
+        miss_at = np.random.default_rng(9).choice(n, 20, replace=False)
+        assert self.cut(n, sorted(miss_at), budget) == n
+
+    def test_random_budgeted_calls_keep_the_pool_in_step(self):
+        """RANDOM keys its pool to the offered chunk, not to the windows:
+        after every cut the pool and the draw count match ``reference``."""
+        cfg = CacheConfig(size=16 * 1024, assoc=4, policy=ReplacementPolicy.RANDOM)
+        ref, arr = make_pair(cfg, seed=123)
+        rng = np.random.default_rng(4)
+        for n_lines, budget in ((300, 60), (2048, 30), (280, 5)):
+            chunk = random_stream(rng, 20_000, n_lines)
+            pos = 0
+            while pos < len(chunk):
+                ra = ref.access(chunk[pos:], miss_budget=budget)
+                rb = arr.access(chunk[pos:], miss_budget=budget)
+                assert ra.consumed == rb.consumed
+                assert np.array_equal(ra.miss_mask, rb.miss_mask)
+                assert arr._kernel._rand_pool == ref._kernel._rand_pool
+                assert arr._kernel._rand_draws == ref._kernel._rand_draws
+                pos += ra.consumed
+        assert ref.stats.__dict__ == arr.stats.__dict__
+        assert_same_state(ref, arr, cfg)
+
+    @pytest.mark.parametrize("policy", POLICIES, ids=lambda p: p.value)
+    def test_victim_calls_under_a_budget(self, policy):
+        cfg = CacheConfig(size=16 * 1024, assoc=4, policy=policy)
+        rng = np.random.default_rng(6)
+        chunks = [random_stream(rng, 6000, n) for n in (280, 2048, 300)]
+        replay_victims(cfg, chunks, budgets=[40, 7, 60], seed=5)
+
+
+class TestWorkFollowsConsumption:
+    """The array kernel's vectorised work follows what a budgeted call
+    consumes, not what it is offered."""
+
+    @pytest.fixture
+    def handed(self, monkeypatch):
+        """References handed to the array kernel's fast path."""
+        seen = []
+        original = ArrayKernel._access_fast
+
+        def spy(self, lines_arr, *args, **kwargs):
+            seen.append(len(lines_arr))
+            return original(self, lines_arr, *args, **kwargs)
+
+        monkeypatch.setattr(ArrayKernel, "_access_fast", spy)
+        return seen
+
+    def test_budgeted_call_pays_for_what_it_consumes(self, handed):
+        cfg = CacheConfig(size=256 * 1024, assoc=4)
+        hot = np.arange(1024, dtype=np.uint64)
+        ref, arr = warm_pair(cfg, hot)
+        miss_at = np.arange(13, 32 * 1024, 14)
+        chunk = budget_stream(np.random.default_rng(1), 32 * 1024, miss_at, hot)
+        handed.clear()
+        ra = ref.access(chunk, miss_budget=50)
+        rb = arr.access(chunk, miss_budget=50)
+        assert 650 < rb.consumed < 750
+        assert (rb.consumed, rb.miss_mask.tolist()) == (
+            ra.consumed,
+            ra.miss_mask.tolist(),
+        )
+        assert sum(handed) <= 2 * max(rb.consumed, base.FIRST_WINDOW)
+
+    def test_short_call_computes_no_leader_positions(self, handed):
+        cfg = CacheConfig(size=64 * 1024, assoc=4)
+        ref, arr = make_pair(cfg)
+        refs = addrs_of_lines([7, 7, 300, 7, 12])
+        for budget in (None, 1):
+            ra = ref.access(refs, miss_budget=budget)
+            rb = arr.access(refs, miss_budget=budget)
+            assert np.array_equal(ra.miss_mask, rb.miss_mask)
+        assert handed == []
+        assert_same_state(ref, arr, cfg)
+
+    def test_kernel_and_decorator_share_one_window_rule(self, monkeypatch):
+        assert components.budget_windows is base.budget_windows
+        assert flat.budget_windows is base.budget_windows
+        calls = []
+
+        def spy(n, miss_budget):
+            calls.append((n, miss_budget))
+            return base.budget_windows(n, miss_budget)
+
+        monkeypatch.setattr(components, "budget_windows", spy)
+        monkeypatch.setattr(flat, "budget_windows", spy)
+        cfg = CacheConfig(size=64 * 1024, assoc=4)
+        stack = VictimCache(SetAssociativeCache(cfg, backend="array"))
+        chunk = addrs_of_lines(np.arange(5000, dtype=np.uint64))
+        assert stack.access(chunk, miss_budget=9).consumed == 9
+        assert calls[0] == (5000, 9)
+        # The decorator's own windows reach the kernel unbudgeted.
+        assert all(budget is None for _, budget in calls[1:])
 
 
 class TestEndToEnd:

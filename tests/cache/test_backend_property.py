@@ -9,14 +9,49 @@ randomized workloads; this file lets hypothesis search the corner cases
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cache.config import CacheConfig
+from repro.cache.kernels import KERNEL_BACKENDS
 from repro.cache.policies import ReplacementPolicy
 from repro.cache.set_assoc import SetAssociativeCache
+from repro.errors import SimulationError
 
 LINE = 64
+
+
+@st.composite
+def short_chunk(draw):
+    """Up to 200 lines drawn one by one, so hypothesis shrinks them."""
+    lines = draw(st.lists(st.integers(0, 255), min_size=0, max_size=200))
+    if draw(st.booleans()):
+        writes = draw(
+            st.lists(st.booleans(), min_size=len(lines), max_size=len(lines))
+        )
+    else:
+        writes = None
+    return lines, writes
+
+
+@st.composite
+def long_chunk(draw):
+    """A seeded stream of up to 1,500 lines: long enough to cross the
+    array kernel's first budget window (256 references) and to reach its
+    scattered certified-hit pass (256 leaders or more). Each reference
+    is one of a few hot lines or, at a drawn rate, any of 256, so the
+    miss density, and with it the number of windows a budgeted call
+    takes, varies."""
+    n = draw(st.integers(257, 1500))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    hot = rng.integers(0, draw(st.sampled_from([2, 4, 8, 256])), n)
+    cold = rng.random(n) < draw(st.sampled_from([0.0, 0.01, 0.1]))
+    lines = np.where(cold, rng.integers(0, 256, n), hot)
+    repeat = rng.random(n) < draw(st.sampled_from([0.0, 0.5]))
+    lines = np.repeat(lines, 1 + repeat.astype(int))[:n]
+    writes = (rng.random(n) < 0.3).tolist() if draw(st.booleans()) else None
+    return lines.tolist(), writes
 
 
 @st.composite
@@ -25,20 +60,8 @@ def chunk_plans(draw):
     n_chunks = draw(st.integers(1, 6))
     plans = []
     for _ in range(n_chunks):
-        lines = draw(
-            st.lists(st.integers(0, 255), min_size=0, max_size=200)
-        )
-        budget = draw(st.one_of(st.none(), st.integers(0, 20)))
-        if draw(st.booleans()):
-            writes = draw(
-                st.lists(
-                    st.booleans(),
-                    min_size=len(lines),
-                    max_size=len(lines),
-                )
-            )
-        else:
-            writes = None
+        lines, writes = draw(st.one_of(short_chunk(), long_chunk()))
+        budget = draw(st.one_of(st.none(), st.integers(1, 60)))
         plans.append((lines, budget, writes))
     return plans
 
@@ -80,3 +103,25 @@ def test_array_matches_reference(policy, assoc, n_sets_pow, seed, prefetch, plan
     for set_idx in range(cfg.n_sets):
         assert ref.lines_in_set(set_idx) == arr.lines_in_set(set_idx)
     assert ref.dirty_line_count() == arr.dirty_line_count()
+
+
+@pytest.mark.parametrize("backend", KERNEL_BACKENDS)
+@pytest.mark.parametrize("budget", [0, -3])
+@pytest.mark.parametrize("mechanism", [None, "vc"])
+def test_budget_below_one_is_refused(backend, budget, mechanism):
+    """A budget below 1 raises, naming the value, before any state moves."""
+    from repro.cache.components import Pipeline, wrap_mechanisms
+
+    cfg = CacheConfig(size=LINE * 4 * 16, line_size=LINE, assoc=4)
+    leaf = SetAssociativeCache(cfg, backend=backend)
+    cache = leaf if mechanism is None else wrap_mechanisms(leaf, mechanism)
+    l1 = SetAssociativeCache(
+        CacheConfig(size=LINE * 2 * 4, line_size=LINE, assoc=2), backend=backend
+    )
+    addrs = np.arange(1000, dtype=np.uint64) * np.uint64(LINE)
+    for stack in (cache, Pipeline([l1, cache])):
+        with pytest.raises(SimulationError, match=str(budget)):
+            stack.access(addrs, miss_budget=budget)
+    assert leaf.contents_line_count() == 0
+    assert l1.contents_line_count() == 0
+    assert leaf.stats.accesses == 0
