@@ -1,25 +1,36 @@
 """The "auto" kernel: picks reference vs array from observed behaviour.
 
-The array kernel wins on every workload shape except one: RANDOM
-replacement under heavy conflict. RANDOM evictions must consume the
-shared eviction pool in global miss order, which defeats both the
-guaranteed-miss run phase and the per-set rounds tail, leaving the
-array kernel's sequential fallback — strictly slower than the reference
-loop it mirrors, because it also pays array/list conversion per chunk.
-Miss-heavy RANDOM streams are exactly where that fallback dominates.
+The array kernel wins wherever its vectorised phases run, and loses to
+the reference loop it mirrors where they cannot: there it falls back to
+a sequential tail that also pays array/list conversion and write-back
+per call. Two kinds of stream force that fallback on miss-dense input:
+
+* **RANDOM replacement under heavy conflict.** RANDOM evictions must
+  consume the shared eviction pool in global miss order, which defeats
+  both the guaranteed-miss run phase and the per-set rounds tail.
+* **Calls a miss budget keeps cutting short.** A sampler arms its miss
+  counter to interrupt every *P* misses, so each of its kernel calls
+  stops at the *P*-th miss, often after a few hundred references. The
+  rounds tail cannot see where that cut falls, so those calls run the
+  sequential tail at any policy.
 
 ``AutoKernel`` therefore starts on an inner :class:`ArrayKernel` and
-watches the first :data:`PROBE_REFS` references. When the probe window
-closes it commits: if the policy is RANDOM and the observed miss density
-exceeds :data:`SWITCH_MISS_DENSITY`, the full kernel state (sets, dirty
-lines, eviction pool, RNG) is transplanted into a
-:class:`ReferenceKernel`; otherwise the array kernel is kept. Both
-backends are bit-identical, so the choice — and its timing — can never
-change results, only throughput; the transplant preserves the seeded
-RANDOM eviction stream exactly.
+probes the stream: the probe closes after :data:`PROBE_REFS`
+references, or at the :data:`PROBE_CUT_CALLS`-th call its budget cut
+short, whichever comes first. Only a budget stops a call early, so an
+unbudgeted stream can close the probe on references alone. At the
+close it commits: if the probe closed on cut calls and its miss
+density exceeds :data:`CUT_SWITCH_MISS_DENSITY`, or the policy is
+RANDOM and the density exceeds :data:`SWITCH_MISS_DENSITY`, the full
+kernel state (sets, dirty lines, eviction pool, RNG) is transplanted
+into a :class:`ReferenceKernel`; otherwise the array kernel is kept.
+Both backends are bit-identical, so the choice — and its timing — can
+never change results, only throughput; the transplant preserves the
+seeded RANDOM eviction stream exactly.
 
-Snapshots record the probe state and the active backend, so a restored
-session resumes with the same decision (made or pending) it saved.
+Snapshots record the probe state (references, misses, cut calls) and
+the active backend, so a restored session resumes with the same
+decision, made or pending, and a pending one closes at the same call.
 """
 
 from __future__ import annotations
@@ -37,12 +48,23 @@ from repro.errors import SimulationError
 #: References observed before committing to a backend.
 PROBE_REFS = 1 << 16
 
-#: Probe-window miss density above which RANDOM replacement switches to
-#: the reference kernel (conflict-heavy RANDOM streams run sequentially
-#: in the array kernel, with conversion overhead on top).
+#: Calls cut short by their miss budget that close the probe early: a
+#: stream the budget keeps cutting (a sampler's interrupts) decides after
+#: this many such calls, long before :data:`PROBE_REFS` references.
+PROBE_CUT_CALLS = 16
+
+#: Probe miss density above which RANDOM replacement switches to the
+#: reference kernel (conflict-heavy RANDOM streams run sequentially in
+#: the array kernel, with conversion overhead on top).
 SWITCH_MISS_DENSITY = 0.2
 
-_SNAPSHOT_TAG = "auto-v1"
+#: Probe miss density above which a stream that closed the probe on
+#: :data:`PROBE_CUT_CALLS` cut calls switches: budget-cut calls run the
+#: array kernel's sequential tail at any policy, so the plain loop wins
+#: at lower densities than under RANDOM alone.
+CUT_SWITCH_MISS_DENSITY = 0.035
+
+_SNAPSHOT_TAG = "auto-v2"
 
 
 class AutoKernel(SetKernel):
@@ -55,6 +77,9 @@ class AutoKernel(SetKernel):
         self._inner: SetKernel = ArrayKernel(**kwargs)
         self._probe_refs = 0
         self._probe_misses = 0
+        #: Probe calls that stopped before the end of their chunk (only
+        #: a miss budget stops a call early).
+        self._cut_calls = 0
         self._decided = False
 
     # ----------------------------------------------------------- delegation
@@ -70,7 +95,12 @@ class AutoKernel(SetKernel):
         if not self._decided:
             self._probe_refs += result.consumed
             self._probe_misses += result.misses
-            if self._probe_refs >= PROBE_REFS:
+            if result.consumed < len(addrs):
+                self._cut_calls += 1
+            if (
+                self._probe_refs >= PROBE_REFS
+                or self._cut_calls >= PROBE_CUT_CALLS
+            ):
                 self._decide()
         return result
 
@@ -97,20 +127,35 @@ class AutoKernel(SetKernel):
             self._inner.name,
             self._probe_refs,
             self._probe_misses,
+            self._cut_calls,
             self._decided,
             self._inner.snapshot(),
         )
 
     def restore(self, state: object) -> None:
-        tag, inner_name, probe_refs, probe_misses, decided, inner_state = state
+        # The tag is read before the shape, so a snapshot of another
+        # layout is refused by name rather than unpacked wrongly.
+        tag = state[0] if isinstance(state, tuple) and state else None
         if tag != _SNAPSHOT_TAG:
             raise SimulationError(
-                f"unrecognised auto-kernel snapshot tag {tag!r}"
+                f"unrecognised auto-kernel snapshot tag {tag!r} "
+                f"(this kernel reads {_SNAPSHOT_TAG!r})"
             )
+        assert isinstance(state, tuple)
+        (
+            _,
+            inner_name,
+            probe_refs,
+            probe_misses,
+            cut_calls,
+            decided,
+            inner_state,
+        ) = state
         if inner_name != self._inner.name:
             self._inner = self._make_inner(inner_name)
         self._probe_refs = probe_refs
         self._probe_misses = probe_misses
+        self._cut_calls = cut_calls
         self._decided = decided
         self._inner.restore(inner_state)
 
@@ -134,10 +179,18 @@ class AutoKernel(SetKernel):
 
     def _decide(self) -> None:
         self._decided = True
-        if self.policy is not ReplacementPolicy.RANDOM:
+        # The array kernel runs serially on calls a budget keeps cutting
+        # (its vectorised phases cannot see the cut coming) and under
+        # RANDOM (the eviction pool is consumed in global miss order);
+        # only there does a miss-dense stream run faster on the plain loop.
+        if self._cut_calls >= PROBE_CUT_CALLS:
+            threshold = CUT_SWITCH_MISS_DENSITY
+        elif self.policy is ReplacementPolicy.RANDOM:
+            threshold = SWITCH_MISS_DENSITY
+        else:
             return  # array wins for LRU/FIFO across observed densities
         density = self._probe_misses / max(1, self._probe_refs)
-        if density > SWITCH_MISS_DENSITY:
+        if density > threshold:
             self._switch_to_reference()
 
     def _switch_to_reference(self) -> None:

@@ -25,7 +25,8 @@ stack gives the same results however its stream is cut into calls.
 A call under a ``miss_budget`` usually stops long before the end of the
 chunk it is offered. :func:`budget_windows` is the one rule for running
 such a call in growing windows, so its cost follows the references it
-consumes: the array kernel and the mechanism decorators both use it.
+consumes: the array and reference kernels and the mechanism decorators
+all use it.
 """
 
 from __future__ import annotations

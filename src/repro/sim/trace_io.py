@@ -50,10 +50,13 @@ def load_trace(path) -> list[ReferenceBlock]:
 
     ``path`` is a filesystem path or a seekable binary file object (the
     compressed-trace importer decompresses ``.npz.gz`` archives into
-    memory and loads them from a buffer).
+    memory and loads them from a buffer named after the file). Any
+    damage to the archive raises :class:`TraceError` naming the file.
     """
-    source = path if hasattr(path, "read") else Path(path)
-    path = getattr(path, "name", source)
+    if hasattr(path, "read"):
+        source, path = path, getattr(path, "name", "<trace buffer>")
+    else:
+        source = path = Path(path)
     try:
         with np.load(source) as archive:
             if "manifest" not in archive:
@@ -65,10 +68,16 @@ def load_trace(path) -> list[ReferenceBlock]:
                 )
             blocks: list[ReferenceBlock] = []
             for i, meta in enumerate(manifest["blocks"]):
+                addrs = archive[f"addrs_{i}"]
+                if addrs.dtype != np.uint64:
+                    raise TraceError(
+                        f"{path}: block {i} holds {addrs.dtype} addresses, "
+                        "not uint64"
+                    )
                 writes = archive[f"writes_{i}"] if meta["has_writes"] else None
                 blocks.append(
                     ReferenceBlock(
-                        addrs=archive[f"addrs_{i}"],
+                        addrs=addrs,
                         cycles_per_ref=meta["cycles_per_ref"],
                         writes=writes,
                         label=meta["label"],
@@ -76,5 +85,9 @@ def load_trace(path) -> list[ReferenceBlock]:
                     )
                 )
             return blocks
-    except (OSError, ValueError, KeyError) as exc:
-        raise TraceError(f"cannot load trace {path}: {exc}") from exc
+    except TraceError:
+        raise
+    except Exception as exc:
+        # zipfile, the decompressor a member names and the .npy parser all
+        # read untrusted bytes: a damaged archive can raise almost anything.
+        raise TraceError(f"cannot load trace {path}: {exc!r}") from exc

@@ -49,6 +49,13 @@ _GZIP_MAGIC = b"\x1f\x8b"
 _ZIP_MAGIC = b"PK"
 
 
+def _gzip_errors() -> tuple[type[Exception], ...]:
+    """What reading a truncated or corrupt gzip stream raises."""
+    import zlib  # already loaded by gzip
+
+    return (OSError, EOFError, zlib.error)
+
+
 def sniff_trace_format(path: "str | Path") -> str:
     """Identify a trace file by content, never by extension.
 
@@ -68,7 +75,7 @@ def sniff_trace_format(path: "str | Path") -> str:
         try:
             with gzip.open(path, "rb") as fh:
                 inner = fh.read(2)
-        except OSError as exc:
+        except _gzip_errors() as exc:
             raise TraceError(f"corrupt gzip trace {path}: {exc}") from exc
         return "npz.gz" if inner == _ZIP_MAGIC else "text.gz"
     return "text"
@@ -81,10 +88,13 @@ def read_text_trace(
 
     The text format external capture tools most easily emit: one
     reference per line as ``R <address>`` or ``W <address>`` (hex with a
-    ``0x`` prefix, or decimal), with ``#`` comments and blank lines
-    ignored. ``source`` is a path or an open text file. The flat stream
-    is chunked into blocks of ``block_refs`` references; write masks are
-    attached only to blocks that contain at least one ``W`` line.
+    ``0x`` prefix, or decimal, below 2**64), with ``#`` comments and
+    blank lines ignored, in UTF-8. ``source`` is a path or an open file
+    (text, or binary such as a gzip stream). The flat stream is chunked
+    into blocks of ``block_refs`` references; write masks are attached
+    only to blocks that contain at least one ``W`` line. Every defect —
+    a malformed line, bytes that are not UTF-8, a damaged gzip stream —
+    raises :class:`TraceError` naming the file and the line.
     """
     if block_refs <= 0:
         raise TraceError(f"block_refs must be positive, got {block_refs}")
@@ -92,7 +102,10 @@ def read_text_trace(
         lines = source
         name = getattr(source, "name", "<trace>")
     else:
-        lines = Path(source).open("r", encoding="utf-8")
+        try:
+            lines = Path(source).open("rb")
+        except OSError as exc:
+            raise TraceError(f"cannot read trace {source}: {exc}") from exc
         name = str(source)
     addrs: list[int] = []
     writes: list[bool] = []
@@ -114,8 +127,16 @@ def read_text_trace(
         addrs.clear()
         writes.clear()
 
+    lineno = 0
     try:
         for lineno, raw in enumerate(lines, start=1):
+            if isinstance(raw, bytes):
+                try:
+                    raw = raw.decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    raise TraceError(
+                        f"{name}:{lineno}: not UTF-8 text ({exc.reason})"
+                    ) from None
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
@@ -133,10 +154,20 @@ def read_text_trace(
                 ) from None
             if addr < 0:
                 raise TraceError(f"{name}:{lineno}: negative address {addr}")
+            if addr >> 64:
+                raise TraceError(
+                    f"{name}:{lineno}: address {parts[1]} does not fit in 64 bits"
+                )
             addrs.append(addr)
             writes.append(parts[0].upper() == "W")
             if len(addrs) >= block_refs:
                 flush()
+    except (UnicodeDecodeError, *_gzip_errors()) as exc:
+        # Raised by the reader itself: a damaged gzip stream, or a text
+        # file object that failed to decode.
+        raise TraceError(
+            f"{name}: unreadable after line {lineno}: {exc}"
+        ) from exc
     finally:
         if not hasattr(source, "read"):
             lines.close()
@@ -151,21 +182,31 @@ def load_any_trace(path: "str | Path") -> list[ReferenceBlock]:
 
     Canonical ``.npz`` archives load directly; gzip'd archives are
     decompressed in memory first; text traces (plain or gzip'd) go
-    through :func:`read_text_trace`.
+    through :func:`read_text_trace`. A trace that is damaged, or holds
+    no reference, raises :class:`TraceError` naming the file.
     """
     path = Path(path)
     fmt = sniff_trace_format(path)
     if fmt == "npz":
-        return load_trace(path)
-    if fmt == "npz.gz":
+        blocks = load_trace(path)
+    elif fmt == "npz.gz":
         # np.load wants a seekable file; a GzipFile only emulates seeks,
         # so decompress into memory (traces are chunked arrays, not huge).
+        try:
+            with gzip.open(path, "rb") as fh:
+                buffer = io.BytesIO(fh.read())
+        except _gzip_errors() as exc:
+            raise TraceError(f"corrupt gzip trace {path}: {exc}") from exc
+        buffer.name = str(path)
+        blocks = load_trace(buffer)
+    elif fmt == "text.gz":
         with gzip.open(path, "rb") as fh:
-            return load_trace(io.BytesIO(fh.read()))
-    if fmt == "text.gz":
-        with gzip.open(path, "rt", encoding="utf-8") as fh:
-            return read_text_trace(fh)
-    return read_text_trace(path)
+            blocks = read_text_trace(fh)
+    else:
+        blocks = read_text_trace(path)
+    if not any(len(block) for block in blocks):
+        raise TraceError(f"{path}: trace contains no references")
+    return blocks
 
 
 def import_trace(source: "str | Path", dest: "str | Path") -> Path:

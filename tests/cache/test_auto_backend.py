@@ -1,19 +1,27 @@
 """The "auto" kernel backend: decision logic and bit-identity.
 
 ``backend="auto"`` starts on the array kernel, watches a probe window,
-and switches to the reference kernel only for conflict-heavy RANDOM
-replacement (the one regime where the array kernel's sequential
-fallback loses to the plain loop). Whatever it decides, results must be
-bit-identical to both fixed backends — the choice is a speed knob.
+and switches to the reference kernel where the array kernel runs
+serially on a miss-dense stream: conflict-heavy RANDOM replacement, or
+calls a miss budget keeps cutting short (a sampler's interrupts).
+Whatever it decides, results must be bit-identical to both fixed
+backends — the choice is a speed knob.
 """
 
 import numpy as np
 import pytest
 
 from repro.cache.config import CacheConfig
-from repro.cache.kernels.auto import PROBE_REFS, AutoKernel
+from repro.cache.kernels import make_kernel
+from repro.cache.kernels.auto import (
+    CUT_SWITCH_MISS_DENSITY,
+    PROBE_CUT_CALLS,
+    PROBE_REFS,
+    AutoKernel,
+)
 from repro.cache.policies import ReplacementPolicy
 from repro.cache.set_assoc import SetAssociativeCache
+from repro.errors import SimulationError
 
 CFG_LRU = dict(size=16 * 1024, line_size=64, assoc=4)
 
@@ -40,6 +48,7 @@ class TestDecision:
         addrs = _uniform(PROBE_REFS + 4096, n_lines=2048)
         cache = _run("auto", addrs)
         assert cache._kernel._decided
+        assert cache._kernel._cut_calls == 0  # unbudgeted calls are never cut
         assert cache._kernel._inner.name == "array"
 
     def test_conflict_heavy_random_switches_to_reference(self):
@@ -113,3 +122,134 @@ class TestSnapshot:
         assert not fresh._kernel._decided
         assert fresh._kernel._probe_refs == kernel._probe_refs
         assert fresh._kernel._probe_misses == kernel._probe_misses
+
+
+# ---------------------------------------------------- budget-cut trigger
+
+POLICIES = list(ReplacementPolicy)
+
+#: A 16 KiB 4-way geometry: 64 sets of 64-byte lines.
+GEOMETRY = dict(n_sets=64, assoc=4, line_bits=6)
+
+
+def _kernels(policy, seed=7):
+    return {
+        name: make_kernel(name, policy=policy, seed=seed, **GEOMETRY)
+        for name in ("reference", "array", "auto")
+    }
+
+
+def _dirty_lines(kernel):
+    kernel = getattr(kernel, "_inner", kernel)
+    if kernel.name == "reference":
+        return set(kernel._dirty)
+    return set(kernel._tags2d[kernel._dirty2d != 0].tolist())
+
+
+def _assert_same_state(kernels):
+    ref = kernels["reference"]
+    for name, kernel in kernels.items():
+        for s_idx in range(ref.n_sets):
+            assert kernel.lines_in_set(s_idx) == ref.lines_in_set(s_idx), name
+        assert _dirty_lines(kernel) == _dirty_lines(ref), name
+        inner = getattr(kernel, "_inner", kernel)
+        assert inner._rand_pool == ref._rand_pool, name
+        assert inner._rand_draws == ref._rand_draws, name
+
+
+def _sampler_calls(kernels, stream, budget, n_calls, offered=2000, seed=3):
+    """Feed every kernel the same budgeted calls, the way a sampling
+    session does: each call is offered the next ``offered`` references
+    and resumes where the last one stopped. Every third call carries a
+    write mask. Asserts equal results per call; yields the count of
+    calls cut short so far after each call."""
+    rng = np.random.default_rng(seed)
+    pos = cut = 0
+    for k in range(n_calls):
+        chunk = stream[pos : pos + offered]
+        writes = rng.random(len(chunk)) < 0.3 if k % 3 == 0 else None
+        results = {
+            name: kernel.access(chunk, miss_budget=budget, writes=writes)
+            for name, kernel in kernels.items()
+        }
+        want = results["reference"]
+        for name, got in results.items():
+            assert got.consumed == want.consumed, (name, k)
+            assert np.array_equal(got.miss_mask, want.miss_mask), (name, k)
+            assert (got.misses, got.writebacks) == (
+                want.misses,
+                want.writebacks,
+            ), (name, k)
+        cut += want.consumed < len(chunk)
+        pos += want.consumed
+        yield cut
+
+
+def _sparse_stream(n, seed=4):
+    """Lines 0..127 (two per set, so resident once touched) with a cold
+    line every 200 references: miss density 0.005 once warm."""
+    rng = np.random.default_rng(seed)
+    lines = rng.integers(0, 128, n).astype(np.uint64)
+    lines[::200] = 1_000_000 + np.arange(len(lines[::200]), dtype=np.uint64)
+    return lines << np.uint64(6)
+
+
+class TestBudgetCutTrigger:
+    """Calls cut short by their miss budget close the probe after
+    :data:`PROBE_CUT_CALLS` of them, long before :data:`PROBE_REFS`."""
+
+    @pytest.mark.parametrize("policy", POLICIES, ids=lambda p: p.value)
+    def test_dense_stream_switches_at_the_kth_cut_call(self, policy):
+        kernels = _kernels(policy)
+        auto = kernels["auto"]
+        stream = _uniform(200_000, n_lines=2048)
+        for cut in _sampler_calls(kernels, stream, 20, PROBE_CUT_CALLS + 30):
+            assert auto._decided == (cut >= PROBE_CUT_CALLS)
+            want = "reference" if cut >= PROBE_CUT_CALLS else "array"
+            assert auto._inner.name == want
+        assert auto._probe_refs < PROBE_REFS
+        _assert_same_state(kernels)
+
+    @pytest.mark.parametrize("policy", POLICIES, ids=lambda p: p.value)
+    def test_sparse_stream_stays_on_the_array_kernel(self, policy):
+        kernels = _kernels(policy)
+        auto = kernels["auto"]
+        for kernel in kernels.values():  # warm: the hot lines, unbudgeted
+            kernel.access(np.arange(128, dtype=np.uint64) << np.uint64(6))
+        stream = _sparse_stream(100_000)
+        for cut in _sampler_calls(kernels, stream, 5, PROBE_CUT_CALLS + 10):
+            assert auto._decided == (cut >= PROBE_CUT_CALLS)
+        assert auto._decided and auto._inner.name == "array"
+        assert auto._probe_misses < CUT_SWITCH_MISS_DENSITY * auto._probe_refs
+        _assert_same_state(kernels)
+
+    @pytest.mark.parametrize("policy", POLICIES, ids=lambda p: p.value)
+    def test_snapshot_mid_probe_switches_at_the_same_call(self, policy):
+        stream = _uniform(200_000, n_lines=2048)
+        kernels = _kernels(policy)
+        auto = kernels["auto"]
+        calls = _sampler_calls(kernels, stream, 20, 200)
+        cut = next(calls)
+        while cut < PROBE_CUT_CALLS - 3:
+            cut = next(calls)
+        state = auto.snapshot()
+        restored = make_kernel("auto", policy=policy, seed=7, **GEOMETRY)
+        restored.restore(state)
+        assert not restored._decided
+        assert restored._cut_calls == auto._cut_calls == cut
+        # Continue the same sampled stream on the restored kernel too.
+        kernels["restored"] = restored
+        for cut in calls:
+            assert restored._decided == auto._decided == (cut >= PROBE_CUT_CALLS)
+            assert restored._inner.name == auto._inner.name
+            if cut >= PROBE_CUT_CALLS + 5:
+                break
+        assert restored._inner.name == "reference"
+        _assert_same_state(kernels)
+
+    def test_snapshot_with_the_old_tag_is_refused_by_name(self):
+        kernel = make_kernel("auto", policy=ReplacementPolicy.LRU, **GEOMETRY)
+        inner = kernel._inner.snapshot()
+        old = ("auto-v1", "array", 10, 2, False, inner)
+        with pytest.raises(SimulationError, match="'auto-v1'"):
+            kernel.restore(old)

@@ -13,6 +13,7 @@ per-miss victims included.
 
 import collections
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from repro.cache import components
 from repro.cache.components import VictimCache
 from repro.cache.config import CacheConfig
 from repro.cache.hierarchy import TwoLevelCache
-from repro.cache.kernels import KERNEL_BACKENDS, ArrayKernel, base, flat
+from repro.cache.kernels import KERNEL_BACKENDS, ArrayKernel, base, flat, reference
 from repro.cache.policies import ReplacementPolicy
 from repro.cache.set_assoc import SetAssociativeCache
 
@@ -455,8 +456,9 @@ class TestBudgetWindows:
 
 
 class TestWorkFollowsConsumption:
-    """The array kernel's vectorised work follows what a budgeted call
-    consumes, not what it is offered."""
+    """A budgeted call's work follows what it consumes, not what it is
+    offered: the array kernel's vectorised phases and the reference
+    kernel's list conversion both run window by window."""
 
     @pytest.fixture
     def handed(self, monkeypatch):
@@ -487,6 +489,60 @@ class TestWorkFollowsConsumption:
         )
         assert sum(handed) <= 2 * max(rb.consumed, base.FIRST_WINDOW)
 
+    @pytest.fixture
+    def converted(self, monkeypatch):
+        """References the reference kernel converts to lists, window by
+        window."""
+        seen = []
+
+        def spy(n, miss_budget):
+            for lo, hi in base.budget_windows(n, miss_budget):
+                seen.append(hi - lo)
+                yield lo, hi
+
+        monkeypatch.setattr(reference, "budget_windows", spy)
+        return seen
+
+    @pytest.mark.parametrize("policy", POLICIES, ids=lambda p: p.value)
+    def test_reference_converts_what_it_consumes(self, policy, converted):
+        cfg = CacheConfig(size=256 * 1024, assoc=4, policy=policy)
+        hot = np.arange(1024, dtype=np.uint64)
+        ref, arr = warm_pair(cfg, hot)
+        miss_at = np.arange(13, 32 * 1024, 14)
+        chunk = budget_stream(np.random.default_rng(1), 32 * 1024, miss_at, hot)
+        for cache in (ref, arr):
+            # RANDOM sizes its pool from the offered chunk, on purpose:
+            # draw it before measuring what the call itself allocates.
+            cache._kernel._ensure_rand_pool(len(chunk))
+        converted.clear()
+        tracemalloc.start()
+        try:
+            ra = ref._kernel.access(chunk, miss_budget=50)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        rb = arr._kernel.access(chunk, miss_budget=50)
+        assert 650 < ra.consumed < 750
+        assert (ra.consumed, ra.miss_mask.tolist()) == (
+            rb.consumed,
+            rb.miss_mask.tolist(),
+        )
+        assert converted
+        assert sum(converted) <= 2 * max(ra.consumed, base.FIRST_WINDOW)
+        # A list of the whole chunk would take 8 bytes a reference alone.
+        assert peak < 8 * len(chunk)
+        assert ref._kernel._rand_pool == arr._kernel._rand_pool
+        assert_same_state(ref, arr, cfg)
+
+    def test_reference_unbudgeted_and_victim_calls_convert_once(self, converted):
+        cfg = CacheConfig(size=64 * 1024, assoc=4)
+        ref, _ = make_pair(cfg)
+        chunk = addrs_of_lines(np.arange(5000, dtype=np.uint64))
+        ref.access(chunk)
+        assert converted == [5000]
+        ref._chunk_access(chunk, 9, victims=True)
+        assert converted == [5000]  # the victim walk takes no windows
+
     def test_short_call_computes_no_leader_positions(self, handed):
         cfg = CacheConfig(size=64 * 1024, assoc=4)
         ref, arr = make_pair(cfg)
@@ -501,6 +557,7 @@ class TestWorkFollowsConsumption:
     def test_kernel_and_decorator_share_one_window_rule(self, monkeypatch):
         assert components.budget_windows is base.budget_windows
         assert flat.budget_windows is base.budget_windows
+        assert reference.budget_windows is base.budget_windows
         calls = []
 
         def spy(n, miss_budget):

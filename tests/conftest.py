@@ -21,6 +21,7 @@ import os
 import numpy as np
 import pytest
 
+from repro import sanitize
 from repro.cache import CacheConfig, SetAssociativeCache
 from repro.memory import AddressSpace, HeapAllocator, ObjectMap, SymbolTable
 from repro.sim.engine import Simulator
@@ -51,6 +52,19 @@ def pytest_configure(config):
         "multicore: shared-LLC multi-core sessions and contention "
         "attribution — the CI leg `-m multicore` runs just these",
     )
+
+
+@pytest.fixture(autouse=True)
+def _sanitizer_gate():
+    """Put the sanitizer gate back after every test, so a test that
+    toggles it cannot switch the ``REPRO_SANITIZE=1`` run off for the
+    tests after it."""
+    was_active = sanitize.is_active()
+    yield
+    if was_active:
+        sanitize.activate()
+    else:
+        sanitize.deactivate()
 
 
 @pytest.fixture

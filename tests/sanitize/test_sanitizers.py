@@ -8,6 +8,8 @@ naming the broken identity. A sanitizer that cannot detect its own
 injected fault is decoration, not defence.
 """
 
+import os
+
 import numpy as np
 import pytest
 
@@ -269,3 +271,13 @@ class TestEndToEndHooks:
         assert sanitize.checks_run()["rng.replay"] >= 1
         while restored.step():
             pass
+
+
+class TestGateRestored:
+    """Runs after every test above that toggles the gate: the gate must
+    read what ``REPRO_SANITIZE`` set, or a sanitized run of the suite
+    would check nothing after the first toggle (``tests/conftest.py``
+    puts it back after each test)."""
+
+    def test_gate_matches_the_environment(self):
+        assert sanitize.is_active() == (os.environ.get("REPRO_SANITIZE") == "1")
