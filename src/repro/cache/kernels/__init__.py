@@ -10,17 +10,20 @@ interface, and delegate the actual simulation to a kernel selected by
 name:
 
 * ``"reference"`` — the original list-of-lists model, oldest-first per
-  set.  Semantics are defined by this kernel.
+  set, whose loop steps only through references that can change state
+  (writers and line changes).  Semantics are defined by the plain
+  per-reference loop it is held to (tests/reference_oracle.py).
 * ``"array"`` — flat-array state with a vectorised fast path for
   streaming chunks.  **Bit-identical** to the reference kernel: same
   miss masks, same ``miss_budget`` early-exit points, same
   writeback/prefetch counts, same seeded RANDOM-eviction stream
   (enforced by tests/cache/test_backend_equivalence.py).
-* ``"auto"`` — starts on the array kernel, watches the first ~64 Ki
-  references, and transplants the state into the reference kernel iff
-  the policy is RANDOM and the observed miss density is high (the one
-  regime where the array kernel's sequential fallback loses). Either
-  way the results are bit-identical; only throughput changes.
+* ``"auto"`` — starts on the array kernel, probes the stream, and
+  transplants the state into the reference kernel when a miss budget
+  keeps cutting its calls short (a sampler) or when the policy is
+  RANDOM and the observed miss density is high: the regimes where the
+  array kernel's sequential fallback loses. Either way the results are
+  bit-identical; only throughput changes.
 
 Every geometry runs on these kernels, direct-mapped (``assoc=1``)
 included; there is no separate 1-way model.

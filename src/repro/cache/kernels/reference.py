@@ -4,17 +4,34 @@ This is the original model the experiments were validated against — set
 state is a list of line numbers per set, ordered oldest-first, so LRU
 promotion and eviction are O(assoc) list operations; associativities in
 practice are 2-16, where a linear scan of a small list beats any fancier
-structure. Its access loop *defines* the semantics every other backend
-must reproduce bit-for-bit. A ``victims=True`` call runs the shared
-victim-reporting walk (:meth:`SetKernel._victim_walk`) over the same
-lists instead, leaving the main loop free of per-miss reporting work.
+structure. A ``victims=True`` call runs the shared victim-reporting walk
+(:meth:`SetKernel._victim_walk`) over the same lists instead, leaving the
+main loop free of per-miss reporting work.
 
-A call under a ``miss_budget`` converts its addresses to Python lists in
-the windows of :func:`~repro.cache.kernels.base.budget_windows`, ahead
-of the loop, so a sampling call offered thousands of references but cut
-after a few hundred converts about what it consumes. Only the conversion
-is windowed: the loop body is the same for every window, and RANDOM's
-eviction pool is still sized once from the offered chunk.
+A call runs in the windows of
+:func:`~repro.cache.kernels.base.budget_windows` (one window without a
+budget), converting each window's addresses to Python lists as it
+reaches it, so a sampling call offered thousands of references but cut
+after a few hundred converts about what it consumes.
+
+**Leader walk.** The loop steps only through the references that can
+change state. A reference that does not write and repeats the line of
+the reference before it in the same call (a *follower*) is a certain
+hit that changes nothing: the reference before it left the line
+resident and, under LRU, most recent; FIFO and RANDOM do nothing on a
+hit, and a hit never reaches a miss budget or draws from the eviction
+pool. One NumPy comparison per window finds the followers and the loop
+skips them; writers are always walked, so dirty bits and budget cuts
+stay exact. Windows shorter than
+:data:`~repro.cache.kernels.base.FIRST_WINDOW` and prefetching kernels
+walk every reference: a prefetch fill can land in the set it just
+filled and demote or evict the line (a one-set cache).
+
+This kernel is no longer the verbatim per-reference definition: that
+plain loop, including the chunk-keyed RANDOM pool rule, is the test
+oracle in ``tests/reference_oracle.py``, and the differential replay
+harness and property tests hold this kernel to it call by call.
+RANDOM's eviction pool is sized once from the offered chunk, as there.
 """
 
 from __future__ import annotations
@@ -24,6 +41,7 @@ import copy
 import numpy as np
 
 from repro.cache.kernels.base import (
+    FIRST_WINDOW,
     KernelResult,
     SetKernel,
     budget_windows,
@@ -124,15 +142,25 @@ class ReferenceKernel(SetKernel):
             # The lists grow a window at a time, so a call its budget
             # cuts early converts about the references it consumes (the
             # first window's lists are used as they come: no copy).
-            window = (addrs[lo:hi] >> line_bits).tolist()
+            window_lines = addrs[lo:hi] >> line_bits
+            window = window_lines.tolist()
             flags = writes[lo:hi].tolist() if writes is not None else None
+            if prefetch or hi - lo < FIRST_WINDOW:
+                walk = range(lo, hi)
+            else:
+                walk = _leaders(
+                    window_lines,
+                    lo,
+                    lines[lo - 1] if lo else None,
+                    writes[lo:hi] if writes is not None else None,
+                )
             if not lo:
                 lines, write_flags = window, flags
             else:
                 lines += window
                 if write_flags is not None and flags is not None:
                     write_flags += flags
-            for i in range(lo, hi):
+            for i in walk:
                 line = lines[i]
                 s = sets[line & set_mask]
                 if line in s:
@@ -179,3 +207,21 @@ class ReferenceKernel(SetKernel):
             bool
         )
         return KernelResult(miss_mask, consumed, misses, writebacks, prefetches)
+
+
+def _leaders(
+    window_lines: np.ndarray,
+    lo: int,
+    prev_line: int | None,
+    window_writes: np.ndarray | None,
+) -> list[int]:
+    """Call positions of the references in a window that the loop must
+    step through: every writer, and every reference whose line differs
+    from the one before it in the call (``prev_line`` is the line of the
+    reference just before the window, ``None`` at the call's start)."""
+    step = np.empty(len(window_lines), dtype=bool)
+    step[0] = prev_line is None or int(window_lines[0]) != prev_line
+    np.not_equal(window_lines[1:], window_lines[:-1], out=step[1:])
+    if window_writes is not None:
+        np.logical_or(step, window_writes, out=step)
+    return (np.flatnonzero(step) + lo).tolist()

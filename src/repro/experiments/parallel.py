@@ -23,6 +23,7 @@ import pickle
 import tempfile
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -607,7 +608,16 @@ class ParallelRunner:
     # ------------------------------------------------------------ internal
 
     def _run_pool(self, unique, pending, results) -> None:
+        """Fan the cells out over worker processes.
+
+        A cell that raises, or a worker that dies, does not stop the
+        cells still running: every cell that finishes is cached first,
+        then one :class:`SimulationError` names the label and key of each
+        cell that raised and of each cell a dying worker left unfinished,
+        chained to the first failure.
+        """
         workers = min(self.jobs, len(unique))
+        failed: list[tuple[TaskSpec, str, BaseException]] = []
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = {
                 pool.submit(
@@ -620,8 +630,25 @@ class ParallelRunner:
                 done, outstanding = wait(outstanding, return_when=FIRST_COMPLETED)
                 for future in done:
                     key, spec = futures[future]
-                    result, wall = future.result()
+                    try:
+                        result, wall = future.result()
+                    except Exception as exc:  # reported after the loop
+                        failed.append((spec, key, exc))
+                        continue
                     self._finish(key, spec, result, wall, pending, results)
+        if failed:
+            cells = "; ".join(
+                f"{spec.describe()!r} (key {key}) "
+                + (
+                    "was unfinished when a worker process died"
+                    if isinstance(exc, BrokenProcessPool)
+                    else f"raised {type(exc).__name__}: {exc}"
+                )
+                for spec, key, exc in failed
+            )
+            raise SimulationError(
+                f"{len(failed)} of {len(unique)} cells failed: {cells}"
+            ) from failed[0][2]
 
     def _finish(self, key, spec, result, wall_s, pending, results) -> None:
         if self.cache is not None:

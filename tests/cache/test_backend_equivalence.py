@@ -1,5 +1,5 @@
 """Differential harness: the "array" backend must be bit-identical to
-the "reference" backend.
+the "reference" backend, and "reference" to the plain per-reference loop.
 
 Randomized workloads are replayed through both backends chunk by chunk;
 after every chunk the AccessResults (miss mask + consumed) and the full
@@ -8,7 +8,10 @@ write masks, prefetching and the seeded RANDOM-eviction stream. At the
 end the observable set state (per-set residency order, dirty counts) must
 match too, so a divergence can never hide between chunks. Victim-reporting
 calls (what mechanism decorators issue) are held to the same standard,
-per-miss victims included.
+per-miss victims included. The ``reference`` side runs on
+:class:`tests.reference_oracle.CheckedReferenceKernel`, so every call
+also holds the reference kernel's leader walk to the plain loop, result
+and full state (sets, dirty lines, eviction pool, draw count, RNG).
 """
 
 import collections
@@ -25,6 +28,7 @@ from repro.cache.hierarchy import TwoLevelCache
 from repro.cache.kernels import KERNEL_BACKENDS, ArrayKernel, base, flat, reference
 from repro.cache.policies import ReplacementPolicy
 from repro.cache.set_assoc import SetAssociativeCache
+from tests.reference_oracle import checked_reference_cache
 
 POLICIES = list(ReplacementPolicy)
 
@@ -33,11 +37,17 @@ def addrs_of_lines(line_numbers, line_size=64):
     return np.asarray(line_numbers, dtype=np.uint64) * np.uint64(line_size)
 
 
-def make_pair(cfg, seed=11, prefetch=False):
-    return (
-        SetAssociativeCache(
+def make_pair(cfg, seed=11, prefetch=False, checked=True):
+    """A ``reference`` cache (checked against the plain loop unless
+    ``checked`` is false) and an ``array`` cache."""
+    if checked:
+        ref = checked_reference_cache(cfg, seed=seed, prefetch=prefetch)
+    else:
+        ref = SetAssociativeCache(
             cfg, seed=seed, prefetch_next_line=prefetch, backend="reference"
-        ),
+        )
+    return (
+        ref,
         SetAssociativeCache(
             cfg, seed=seed, prefetch_next_line=prefetch, backend="array"
         ),
@@ -279,6 +289,7 @@ def replay_victims(cfg, chunks, budgets=None, writes=None, seed=11):
     caches = {
         b: SetAssociativeCache(cfg, seed=seed, backend=b) for b in KERNEL_BACKENDS
     }
+    caches["reference"] = checked_reference_cache(cfg, seed=seed)
     ref = caches["reference"]
     for k, chunk in enumerate(chunks):
         budget = budgets[k] if budgets is not None else None
@@ -378,8 +389,8 @@ def budget_stream(rng, n, miss_at, hot):
     return addrs_of_lines(lines)
 
 
-def warm_pair(cfg, hot, seed=11):
-    ref, arr = make_pair(cfg, seed=seed)
+def warm_pair(cfg, hot, seed=11, checked=True):
+    ref, arr = make_pair(cfg, seed=seed, checked=checked)
     for cache in (ref, arr):
         cache.access(addrs_of_lines(hot))
     return ref, arr
@@ -507,7 +518,8 @@ class TestWorkFollowsConsumption:
     def test_reference_converts_what_it_consumes(self, policy, converted):
         cfg = CacheConfig(size=256 * 1024, assoc=4, policy=policy)
         hot = np.arange(1024, dtype=np.uint64)
-        ref, arr = warm_pair(cfg, hot)
+        # Unchecked: the plain twin's lists would count in the traced peak.
+        ref, arr = warm_pair(cfg, hot, checked=False)
         miss_at = np.arange(13, 32 * 1024, 14)
         chunk = budget_stream(np.random.default_rng(1), 32 * 1024, miss_at, hot)
         for cache in (ref, arr):

@@ -5,7 +5,10 @@ miss-budget cuts and write masks across every replacement policy and
 associativity, shrinking any divergence to a minimal counterexample.
 Complements tests/cache/test_backend_equivalence.py, which replays fixed
 randomized workloads; this file lets hypothesis search the corner cases
-(tiny sets, duplicate bursts, budget landing on a follower, ...).
+(tiny sets, duplicate bursts, budget landing on a follower, ...). The
+``reference`` cache runs on the checked kernel of
+:mod:`tests.reference_oracle`, so every call also holds its leader walk
+to the plain per-reference loop.
 """
 
 import numpy as np
@@ -18,6 +21,7 @@ from repro.cache.kernels import KERNEL_BACKENDS
 from repro.cache.policies import ReplacementPolicy
 from repro.cache.set_assoc import SetAssociativeCache
 from repro.errors import SimulationError
+from tests.reference_oracle import checked_reference_cache
 
 LINE = 64
 
@@ -80,9 +84,7 @@ def test_array_matches_reference(policy, assoc, n_sets_pow, seed, prefetch, plan
     cfg = CacheConfig(
         size=LINE * assoc * n_sets, line_size=LINE, assoc=assoc, policy=policy
     )
-    ref = SetAssociativeCache(
-        cfg, seed=seed, prefetch_next_line=prefetch, backend="reference"
-    )
+    ref = checked_reference_cache(cfg, seed=seed, prefetch=prefetch)
     arr = SetAssociativeCache(
         cfg, seed=seed, prefetch_next_line=prefetch, backend="array"
     )

@@ -6,18 +6,25 @@ re-running the same grid against a persistent cache directory must be
 served from disk.
 """
 
+import multiprocessing
+import os
+from concurrent.futures.process import BrokenProcessPool
+
 import pytest
 
 from repro.cache import CacheConfig
+from repro.errors import SimulationError
 from repro.experiments.cache_store import Manifest, ResultCache
 from repro.experiments.parallel import (
     ParallelRunner,
     SimSpec,
+    TaskSpec,
     ToolSpec,
     derive_task_seed,
     expand_grid,
 )
 from repro.experiments.runner import ExperimentRunner, RunnerConfig
+from repro.workloads.registry import EXTRA_WORKLOADS
 
 SIM = SimSpec(cache=CacheConfig(size=32 * 1024, assoc=2))
 
@@ -116,6 +123,58 @@ class TestParallelEqualsSerial:
         assert len(rows) == 2
         assert all(set(r) >= {"task", "workload", "seed", "key", "cached",
                               "wall_s"} for r in rows)
+
+
+def _dying_workload(**kwargs):
+    """A workload whose construction ends the worker process at once."""
+    os._exit(3)
+
+
+class TestPoolFailures:
+    """A cell that fails in a worker is named, with its key, and only
+    after the cells that finished are in the result cache."""
+
+    def _run(self, specs, tmp_path):
+        cache = ResultCache(tmp_path / "cache")
+        with pytest.raises(SimulationError) as info:
+            ParallelRunner(jobs=2, cache=cache).run(specs)
+        return cache, info.value
+
+    def test_raising_cell_is_named_after_the_others_are_cached(self, tmp_path):
+        bad = TaskSpec(
+            "synthetic-streams",
+            {"spec": STREAMS, "no_such_argument": 1},
+            seed=7,
+            sim=SIM,
+            label="bad-kwargs",
+        )
+        good = grid()[:3]
+        cache, err = self._run([good[0], bad, *good[1:]], tmp_path)
+        message = str(err)
+        assert f"'bad-kwargs' (key {bad.key()}) raised TypeError" in message
+        assert message.startswith("1 of 4 cells failed")
+        assert isinstance(err.__cause__, TypeError)
+        assert cache.get(bad.key()) is None
+        for spec in good:
+            assert spec.key() not in message
+            assert cache.get(spec.key()) is not None
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="workers see the test's dying workload only when forked",
+    )
+    def test_dead_worker_names_every_unfinished_cell(self, tmp_path, monkeypatch):
+        monkeypatch.setitem(EXTRA_WORKLOADS, "dying", _dying_workload)
+        dying = TaskSpec("dying", seed=7, sim=SIM, label="dies")
+        specs = [*grid()[:3], dying]
+        cache, err = self._run(specs, tmp_path)
+        message = str(err)
+        assert isinstance(err.__cause__, BrokenProcessPool)
+        assert f"'dies' (key {dying.key()}) was unfinished" in message
+        # Every other cell either finished (and is cached) or is named.
+        for spec in specs[:3]:
+            named = f"(key {spec.key()}) was unfinished" in message
+            assert named != (cache.get(spec.key()) is not None), spec.label
 
 
 class TestRunnerIntegration:

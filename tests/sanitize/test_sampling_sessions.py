@@ -2,8 +2,8 @@
 
 The sampler arms a miss counter, so its sessions cut the stream into
 miss-budgeted kernel calls, and ``backend="auto"`` switches to the
-reference kernel once those calls keep being cut on a miss-dense stream
-(its state, RNG included, transplanted mid-run). Under the runtime
+reference kernel once those calls keep being cut (its state, RNG
+included, transplanted mid-run). Under the runtime
 sanitizer, every backend, replacement policy and mechanism stack must
 give the same run on both sides of that switch, through a mid-run
 snapshot and restore whose RNG replay checks the transplanted kernel.
