@@ -60,7 +60,8 @@ class CacheStats:
 
         All counter movement goes through here (or :meth:`merge`) so the
         per-tag attribution and :meth:`snapshot` semantics can't be
-        bypassed; reprolint's RPL401 enforces this statically.
+        bypassed; under ``REPRO_SANITIZE=1`` the ledger identities of
+        :mod:`repro.sanitize.ledger` catch a write that went around it.
         """
         self.accesses += accesses
         self.misses += misses

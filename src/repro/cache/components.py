@@ -80,7 +80,7 @@ class CacheComponent(CacheModel):
       counters, :meth:`commit_stage` records the staged counts into
       :attr:`stats` under a tag (cascading to wrapped components),
       keeping every counter movement inside ``CacheStats.record``
-      (RPL401);
+      (the sanitizer's ledger identities check it);
     * ``_chunk_access`` — the chunked classification *without* stats
       recording, so compositions control when and with what access
       totals each ledger is committed: calls add to the staged counts

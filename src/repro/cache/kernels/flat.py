@@ -1089,4 +1089,3 @@ class ArrayKernel(SetKernel):
             head_np[fill_sets] + np.maximum(0, c0 + grp_sizes - assoc)
         ) % assoc
         return wb
-    # reprolint: disable-file=RPL303 -- head/count ring indices are bounded by assoc (<=64), not address bits; narrow dtypes are the point of the flat layout

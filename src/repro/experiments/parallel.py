@@ -204,9 +204,9 @@ class ToolSpec:
 
 #: TaskSpec fields deliberately excluded from the result-cache key.
 #: Only display/bookkeeping fields belong here — anything that changes
-#: simulated behaviour MUST be hashed, and both reprolint (RPL201) and
-#: the runtime guard in :meth:`TaskSpec.key` cross-check this set
-#: against the dataclass fields.
+#: simulated behaviour MUST be hashed, and the runtime guard in
+#: :meth:`TaskSpec.key` cross-checks this set against the dataclass
+#: fields.
 _KEY_EXEMPT_FIELDS = frozenset({"label"})
 
 
@@ -230,15 +230,16 @@ class TaskSpec:
         Refuses to hash a spec whose dataclass fields have drifted from
         the payload below: a field that is neither hashed nor listed in
         ``_KEY_EXEMPT_FIELDS`` would silently serve stale cached results
-        for every new value it takes.
+        for every new value it takes. ``tool`` and ``sim`` are hashed
+        whole: :func:`canonical` recurses over every dataclass field, so
+        a field added to :class:`ToolSpec` or :class:`SimSpec` joins the
+        key by construction.
         """
         payload = {
             "workload": self.workload,
             "workload_kwargs": self.workload_kwargs,
             "seed": self.seed,
-            "tool": None
-            if self.tool is None
-            else {"kind": self.tool.kind, "kwargs": self.tool.kwargs},
+            "tool": self.tool,
             "max_refs": self.max_refs,
             "series_bucket_cycles": self.series_bucket_cycles,
             "sim": self.sim,
@@ -294,10 +295,7 @@ def expand_grid(
     config_hash = stable_hash(
         {
             "workloads": [[name, kwargs] for name, kwargs in workloads],
-            "tools": [
-                None if t is None else {"kind": t.kind, "kwargs": t.kwargs}
-                for t in tools
-            ],
+            "tools": tools,
             "sim": sim,
             "replicas": replicas,
         }
@@ -558,6 +556,10 @@ class ParallelRunner:
       also the fallback when only one cell is pending).
     * Results come back in input order, bit-identical to serial
       execution, and every cell is appended to the manifest.
+    * A cell that raises does not stop the others, inline or pooled:
+      every cell that finishes is cached first, then one
+      :class:`SimulationError` names the label and key of each failed
+      cell, chained to the first failure.
     """
 
     def __init__(
@@ -596,25 +598,43 @@ class ParallelRunner:
 
         unique = [(key, specs[idxs[0]]) for key, idxs in pending.items()]
         if self.jobs > 1 and len(unique) > 1:
-            self._run_pool(unique, pending, results)
+            failed = self._run_pool(unique, pending, results)
         else:
+            failed = []
             for key, spec in unique:
-                result, wall = _timed_execute(
-                    spec, self.checkpoints, self.stream_cache_dir
-                )
+                try:
+                    result, wall = _timed_execute(
+                        spec, self.checkpoints, self.stream_cache_dir
+                    )
+                except Exception as exc:  # reported after the loop
+                    failed.append((spec, key, exc))
+                    continue
                 self._finish(key, spec, result, wall, pending, results)
+        if failed:
+            cells = "; ".join(
+                f"{spec.describe()!r} (key {key}) "
+                + (
+                    "was unfinished when a worker process died"
+                    if isinstance(exc, BrokenProcessPool)
+                    else f"raised {type(exc).__name__}: {exc}"
+                )
+                for spec, key, exc in failed
+            )
+            raise SimulationError(
+                f"{len(failed)} of {len(unique)} cells failed: {cells}"
+            ) from failed[0][2]
         return results  # type: ignore[return-value]
 
     # ------------------------------------------------------------ internal
 
-    def _run_pool(self, unique, pending, results) -> None:
-        """Fan the cells out over worker processes.
+    def _run_pool(
+        self, unique, pending, results
+    ) -> list[tuple[TaskSpec, str, BaseException]]:
+        """Fan the cells out over worker processes; returns the failures.
 
         A cell that raises, or a worker that dies, does not stop the
-        cells still running: every cell that finishes is cached first,
-        then one :class:`SimulationError` names the label and key of each
-        cell that raised and of each cell a dying worker left unfinished,
-        chained to the first failure.
+        cells still running (a dying worker's unfinished cells fail with
+        ``BrokenProcessPool``).
         """
         workers = min(self.jobs, len(unique))
         failed: list[tuple[TaskSpec, str, BaseException]] = []
@@ -636,19 +656,7 @@ class ParallelRunner:
                         failed.append((spec, key, exc))
                         continue
                     self._finish(key, spec, result, wall, pending, results)
-        if failed:
-            cells = "; ".join(
-                f"{spec.describe()!r} (key {key}) "
-                + (
-                    "was unfinished when a worker process died"
-                    if isinstance(exc, BrokenProcessPool)
-                    else f"raised {type(exc).__name__}: {exc}"
-                )
-                for spec, key, exc in failed
-            )
-            raise SimulationError(
-                f"{len(failed)} of {len(unique)} cells failed: {cells}"
-            ) from failed[0][2]
+        return failed
 
     def _finish(self, key, spec, result, wall_s, pending, results) -> None:
         if self.cache is not None:

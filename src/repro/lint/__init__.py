@@ -2,24 +2,21 @@
 
 The simulation's correctness rests on invariants the methodology demands
 but ordinary tests only probe: bit-for-bit determinism (sampled-vs-full
-comparisons are meaningless if reruns drift), content-addressed cache
-keys that cover every behaviour-affecting field, the bit-identity
-contract between cache-kernel backends, and single-writer statistics.
-``reprolint`` enforces the statically-checkable half of each, before
-anything runs::
+comparisons are meaningless if reruns drift) and process safety across
+the worker pool's fork boundary. ``reprolint`` enforces the
+statically-checkable half of each, before anything runs::
 
     python -m repro.lint src/            # or: repro lint src/
     python -m repro.lint --format json src/
     python -m repro.lint --list-rules
 
-Rule families: RPL1xx determinism, RPL2xx cache-key completeness,
-RPL3xx kernel-contract parity, RPL4xx stats purity, RPL5xx snapshot
-parity, RPL6xx stream fingerprints, RPL7xx process/fork safety, RPL8xx
-dataflow taint (alias-aware RPL3xx upgrades backed by the
-:mod:`repro.lint.dataflow` engine). Suppress a deliberate exception
-with ``# reprolint: disable=RPLxxx -- reason`` on the line (or
-``# reprolint: disable-file=RPLxxx -- reason`` for a whole file) — see
-DESIGN.md sections 7 and 12 for the policy.
+Rule families: RPL1xx determinism, RPL7xx process/fork safety (backed
+by the :mod:`repro.lint.dataflow` engine). Cache keys, stream
+fingerprints, kernel parity, stats purity and snapshot payloads are
+guarded at run time instead (DESIGN.md section 7). Suppress a
+deliberate exception with ``# reprolint: disable=RPLxxx -- reason`` on
+the line (or ``# reprolint: disable-file=RPLxxx -- reason`` for a whole
+file) — see DESIGN.md section 7 for the policy.
 """
 
 from repro.lint.framework import (
@@ -32,7 +29,6 @@ from repro.lint.framework import (
     collect_files,
     format_human,
     format_json,
-    format_sarif,
     run_lint,
     run_lint_report,
 )
@@ -47,7 +43,6 @@ __all__ = [
     "collect_files",
     "format_human",
     "format_json",
-    "format_sarif",
     "run_lint",
     "run_lint_report",
 ]

@@ -2,30 +2,19 @@
 
 Invoked as ``python -m repro.lint <paths>`` or ``repro lint <paths>``.
 Exit status: 0 clean, 1 violations found, 2 usage error.
-
-Scoping and adoption aids::
-
-    repro lint --changed                 # only files changed vs HEAD
-    repro lint --changed --diff-base origin/main
-    repro lint --write-baseline lint-baseline.json src/
-    repro lint --baseline lint-baseline.json src/   # only NEW findings
-    repro lint --format sarif src/       # GitHub code-scanning upload
 """
 
 from __future__ import annotations
 
 import argparse
-import subprocess
 import sys
 from pathlib import Path
 
-from repro.lint.baseline import apply_baseline, load_baseline, write_baseline
 from repro.lint.framework import (
     all_rules,
     collect_files,
     format_human,
     format_json,
-    format_sarif,
     run_lint_report,
 )
 
@@ -34,11 +23,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro lint",
         description=(
-            "AST-based invariant linter: determinism (RPL1xx), cache-key "
-            "completeness (RPL2xx), kernel-contract parity (RPL3xx), "
-            "stats purity (RPL4xx), snapshot parity (RPL5xx), stream "
-            "fingerprints (RPL6xx), process/fork safety (RPL7xx), "
-            "dataflow taint (RPL8xx)."
+            "AST-based invariant linter: determinism (RPL1xx) and "
+            "process/fork safety (RPL7xx)."
         ),
     )
     parser.add_argument(
@@ -49,7 +35,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--format",
-        choices=["text", "json", "sarif"],
+        choices=["text", "json"],
         default="text",
         help="output format (default: text)",
     )
@@ -58,33 +44,7 @@ def build_parser() -> argparse.ArgumentParser:
         nargs="+",
         metavar="CODE",
         default=None,
-        help="only report codes with these prefixes, e.g. RPL1 RPL203",
-    )
-    parser.add_argument(
-        "--changed",
-        action="store_true",
-        help="lint only files changed versus --diff-base (plus untracked "
-        "files), intersected with the given paths",
-    )
-    parser.add_argument(
-        "--diff-base",
-        default="HEAD",
-        metavar="REF",
-        help="git ref --changed diffs against (default: HEAD)",
-    )
-    parser.add_argument(
-        "--baseline",
-        metavar="FILE",
-        default=None,
-        help="suppress violations recorded in this baseline snapshot; "
-        "only new findings are reported",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        metavar="FILE",
-        default=None,
-        help="write the current violations to FILE as a baseline "
-        "snapshot and exit 0",
+        help="only report codes with these prefixes, e.g. RPL1 RPL702",
     )
     parser.add_argument(
         "--list-rules",
@@ -100,39 +60,6 @@ def _default_paths() -> list[str]:
     return [str(src_root)]
 
 
-def _changed_files(diff_base: str) -> list[Path] | None:
-    """Python files changed vs ``diff_base`` plus untracked, or None on
-    git failure (caller reports the usage error)."""
-    try:
-        diff = subprocess.run(
-            ["git", "diff", "--name-only", "-z", diff_base, "--"],
-            capture_output=True,
-            text=True,
-            check=True,
-        )
-        untracked = subprocess.run(
-            ["git", "ls-files", "--others", "--exclude-standard", "-z"],
-            capture_output=True,
-            text=True,
-            check=True,
-        )
-        toplevel = subprocess.run(
-            ["git", "rev-parse", "--show-toplevel"],
-            capture_output=True,
-            text=True,
-            check=True,
-        )
-    except (OSError, subprocess.CalledProcessError):
-        return None
-    root = Path(toplevel.stdout.strip())
-    names = [
-        n
-        for n in (diff.stdout + "\0" + untracked.stdout).split("\0")
-        if n.endswith(".py")
-    ]
-    return [root / n for n in dict.fromkeys(names) if (root / n).exists()]
-
-
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     if args.list_rules:
@@ -140,50 +67,16 @@ def main(argv: list[str] | None = None) -> int:
             print(f"{rule.code}  {rule.name}: {rule.description}")
         return 0
     paths = args.paths or _default_paths()
-    if args.changed:
-        changed = _changed_files(args.diff_base)
-        if changed is None:
-            print(
-                f"repro lint: git diff against {args.diff_base!r} failed "
-                "(not a git checkout?)",
-                file=sys.stderr,
-            )
-            return 2
-        scope = {f.resolve() for f in collect_files(paths)}
-        files = [f for f in changed if f.resolve() in scope]
-        if not files:
-            print("clean: 0 changed file(s), 0 violations")
-            return 0
-        paths = [str(f) for f in files]
     files = collect_files(paths)
     if not files:
         print(f"repro lint: no Python files under {' '.join(paths)}", file=sys.stderr)
         return 2
     report = run_lint_report(paths, select=args.select)
     violations = report.violations
-    if args.write_baseline:
-        entries = write_baseline(violations, args.write_baseline)
-        print(
-            f"wrote baseline {args.write_baseline}: {entries} entr"
-            f"{'y' if entries == 1 else 'ies'} "
-            f"({len(violations)} violation(s))"
-        )
-        return 0
-    baseline_note = ""
-    if args.baseline:
-        try:
-            allowed = load_baseline(args.baseline)
-        except (OSError, ValueError, KeyError) as exc:
-            print(f"repro lint: cannot read baseline: {exc}", file=sys.stderr)
-            return 2
-        violations, matched = apply_baseline(violations, allowed)
-        baseline_note = f" ({matched} baselined finding(s) suppressed)"
     if args.format == "json":
         print(format_json(violations, report.files_checked, report.suppressions))
-    elif args.format == "sarif":
-        print(format_sarif(violations, report.files_checked))
     else:
-        print(format_human(violations, report.files_checked) + baseline_note)
+        print(format_human(violations, report.files_checked))
     return 1 if violations else 0
 
 

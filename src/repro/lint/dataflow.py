@@ -1,7 +1,7 @@
-"""Intraprocedural dataflow analysis for ``reprolint`` (v2 engine).
+"""Intraprocedural dataflow analysis for ``reprolint``.
 
-The v1 rules are single-expression pattern matches: they see
-``addr / 2`` but not ``tmp = addr; tmp / 2``. This module gives rules
+A single-expression pattern match sees ``submit(f, session)`` but not
+``s = session; submit(f, s)``. This module gives rules (RPL702 today)
 real flow information, still as a pure AST pass (no imports of checked
 code):
 
@@ -20,7 +20,7 @@ code):
 * :class:`TaintAnalysis` — a two-point taint lattice propagated to a
   fixpoint over the def-use graph. Rules provide a *seed* predicate
   (which expressions introduce taint) and the analysis answers whether
-  a given use may carry a tainted value through any chain of
+  an expression may carry a tainted value through any chain of
   assignments and aliases.
 
 Names are tracked as plain identifiers plus ``self.attr`` pseudo-names
@@ -45,16 +45,12 @@ __all__ = [
     "build_cfg",
     "ReachingDefinitions",
     "TaintAnalysis",
-    "binding_names",
-    "target_key",
-    "load_names",
-    "use_exprs",
 ]
 
 
 # ----------------------------------------------------------------- names
 
-def target_key(node: ast.AST) -> str | None:
+def _target_key(node: ast.AST) -> str | None:
     """Trackable key for a binding/use site: ``name`` or ``self.attr``."""
     if isinstance(node, ast.Name):
         return node.id
@@ -84,12 +80,12 @@ def _target_names(node: ast.AST) -> Iterator[str]:
     elif isinstance(node, ast.Starred):
         yield from _target_names(node.value)
     else:
-        key = target_key(node)
+        key = _target_key(node)
         if key is not None:
             yield key
 
 
-def use_exprs(atom: ast.AST) -> list[ast.AST]:
+def _use_exprs(atom: ast.AST) -> list[ast.AST]:
     """The expression subtrees an atom *evaluates in its own block*.
 
     Header atoms (``For``, ``withitem``, handlers) contribute only their
@@ -110,7 +106,7 @@ def use_exprs(atom: ast.AST) -> list[ast.AST]:
     return [atom]
 
 
-def binding_names(stmt: ast.AST) -> list[str]:
+def _binding_names(stmt: ast.AST) -> list[str]:
     """Every name an *atom* binds (its gen set, before kill semantics)."""
     names: list[str] = []
     if isinstance(stmt, ast.Assign):
@@ -140,7 +136,7 @@ def binding_names(stmt: ast.AST) -> list[str]:
     elif isinstance(stmt, ast.match_case):
         names.extend(_pattern_names(stmt.pattern))
     # Walrus targets bind wherever the atom's own expressions appear.
-    for expr in use_exprs(stmt):
+    for expr in _use_exprs(stmt):
         for sub in ast.walk(expr):
             if isinstance(sub, ast.NamedExpr):
                 names.extend(_target_names(sub.target))
@@ -158,19 +154,6 @@ def _value_exprs(stmt: ast.AST) -> list[ast.AST]:
     if isinstance(stmt, ast.match_case):
         return []
     return []
-
-
-def load_names(expr: ast.AST) -> set[str]:
-    """Trackable names *read* inside ``expr`` (Name loads + self.attr)."""
-    out: set[str] = set()
-    for sub in ast.walk(expr):
-        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
-            out.add(sub.id)
-        elif isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
-            key = target_key(sub)
-            if key is not None:
-                out.add(key)
-    return out
 
 
 # ------------------------------------------------------------------- CFG
@@ -453,7 +436,7 @@ class ReachingDefinitions:
         if found is None:
             found = [
                 Definition(name, atom, next(self._counter))
-                for name in binding_names(atom)
+                for name in _binding_names(atom)
             ]
             self._atom_defs[id(atom)] = found
         return found
@@ -511,7 +494,7 @@ class ReachingDefinitions:
         chains: dict[int, tuple[ast.AST, frozenset[Definition]]] = {}
         for bid, atom in self.cfg.atoms():
             env = self.defs_before(bid, atom)
-            for expr in use_exprs(atom):
+            for expr in _use_exprs(atom):
                 for sub in ast.walk(expr):
                     key: str | None = None
                     if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
@@ -519,7 +502,7 @@ class ReachingDefinitions:
                     elif isinstance(sub, ast.Attribute) and isinstance(
                         sub.ctx, ast.Load
                     ):
-                        key = target_key(sub)
+                        key = _target_key(sub)
                     if key is not None and key in env:
                         chains[id(sub)] = (sub, env[key])
         return chains
@@ -531,9 +514,9 @@ class TaintAnalysis:
     """Two-point taint lattice over one function's dataflow.
 
     ``seed`` decides whether an *expression node* introduces taint by
-    itself (e.g. an address-shaped identifier); ``declassify`` marks
-    expression nodes whose subtree stops propagating (e.g. ``len(x)``
-    — a count derived from an address array is not an address). Taint
+    itself (e.g. a call constructing a live session); ``declassify``
+    marks expression nodes whose subtree stops propagating (e.g.
+    ``len(x)`` — a count derived from a tainted container is clean). Taint
     flows through assignments, aliases, subscripts of tainted
     containers, arithmetic and tuple packing, to a fixpoint over the
     definitions' dependency graph.
@@ -571,7 +554,7 @@ class TaintAnalysis:
         if self.seed(expr):
             return True
         if isinstance(expr, (ast.Name, ast.Attribute)):
-            key = target_key(expr)
+            key = _target_key(expr)
             if key is not None:
                 defs = env.get(key, frozenset())
                 return any(d in self.tainted_defs for d in defs)
@@ -598,14 +581,14 @@ class TaintAnalysis:
         if isinstance(expr, ast.NamedExpr):
             return self._expr_tainted(expr.value, env)
         if isinstance(expr, ast.Call):
-            # Method calls on a tainted receiver (e.g. ``lines.tolist()``,
-            # ``addrs.astype(...)``) keep the taint; other calls are
-            # boundaries (the rule's declassify covers count-reductions,
-            # and unknown calls are assumed clean to avoid fp storms).
+            # Method calls on a tainted receiver (e.g. ``rng.spawn(2)``)
+            # keep the taint; other calls are boundaries (the rule's
+            # declassify covers reductions, and unknown calls are
+            # assumed clean to avoid fp storms).
             if isinstance(expr.func, ast.Attribute):
                 return self._expr_tainted(expr.func.value, env)
             return False
-        # Compare/BoolOp results are booleans — never address-like.
+        # Compare/BoolOp results are booleans — never tainted.
         return False
 
     def _compute(self) -> None:
@@ -631,18 +614,6 @@ class TaintAnalysis:
         """Whether an arbitrary expression may evaluate tainted (public
         entry point for rules checking call arguments and the like)."""
         return self._expr_tainted(expr, env)
-
-    def tainted_use(
-        self, node: ast.AST, env: dict[str, frozenset[Definition]]
-    ) -> bool:
-        """Whether one use-site expression carries taint *via dataflow*
-        (i.e. through at least one definition, not just syntactically)."""
-        if isinstance(node, (ast.Name, ast.Attribute)):
-            key = target_key(node)
-            if key is not None:
-                defs = env.get(key, frozenset())
-                return any(d in self.tainted_defs for d in defs)
-        return False
 
     def iter_atoms_with_env(
         self,

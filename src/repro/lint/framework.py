@@ -3,10 +3,7 @@
 The linter is a plain AST pass — no imports of the checked code, no
 runtime reflection — so it can gate CI before anything executes and can
 be pointed at fixture snippets in tests. A :class:`Rule` inspects one
-:class:`ParsedModule` at a time through :meth:`Rule.check_module`;
-rules that need cross-module state (e.g. kernel-contract parity, where
-the two kernels live in different files) accumulate during the pass and
-emit from :meth:`Rule.finalize`.
+:class:`ParsedModule` at a time through :meth:`Rule.check_module`.
 
 Suppressions are source comments, checked per line::
 
@@ -19,7 +16,7 @@ and per file (anywhere in the file, conventionally at the top)::
 Every violation carries its rule code, so suppressions are always
 targeted — there is deliberately no blanket ``disable=all``. The text
 after ``--`` is the justification; it is carried into the JSON report
-(``suppressions`` key) so baselines stay auditable.
+(``suppressions`` key) so every silenced finding stays auditable.
 """
 
 from __future__ import annotations
@@ -45,7 +42,6 @@ __all__ = [
     "LintReport",
     "format_human",
     "format_json",
-    "format_sarif",
 ]
 
 #: Rule code for files the linter cannot parse at all.
@@ -177,9 +173,8 @@ class Rule:
     """Base class for lint rules.
 
     Subclasses set ``code`` (the family code reported by default),
-    ``name`` and ``description``, override :meth:`check_module`, and may
-    override :meth:`finalize` for cross-module checks. One instance is
-    created per lint run, so instance state accumulates across modules.
+    ``name`` and ``description`` and override :meth:`check_module`. One
+    instance is created per lint run.
     """
 
     code: str = "RPL000"
@@ -187,9 +182,6 @@ class Rule:
     description: str = ""
 
     def check_module(self, module: ParsedModule) -> Iterable[Violation]:
-        return ()
-
-    def finalize(self) -> Iterable[Violation]:
         return ()
 
 
@@ -242,7 +234,7 @@ def _selected(code: str, select: Sequence[str] | None) -> bool:
 
 @dataclass
 class LintReport:
-    """Everything one lint pass produced, for formatters and baselines."""
+    """Everything one lint pass produced, for the formatters."""
 
     violations: list[Violation]
     files_checked: int
@@ -250,9 +242,7 @@ class LintReport:
 
 
 def run_lint_report(
-    paths: Sequence[str | Path],
-    select: Sequence[str] | None = None,
-    rules: Sequence[type[Rule]] | None = None,
+    paths: Sequence[str | Path], select: Sequence[str] | None = None
 ) -> LintReport:
     """Lint ``paths`` and return violations plus suppression records.
 
@@ -260,7 +250,7 @@ def run_lint_report(
     determinism family); suppression comments are honoured before
     selection. Unparseable files yield a single ``RPL001`` violation.
     """
-    instances = [cls() for cls in (rules if rules is not None else all_rules())]
+    instances = [cls() for cls in all_rules()]
     violations: list[Violation] = []
     suppressions: list[SuppressionRecord] = []
     files = collect_files(paths)
@@ -284,8 +274,6 @@ def run_lint_report(
             for violation in rule.check_module(module):
                 if not module.suppressed(violation):
                     violations.append(violation)
-    for rule in instances:
-        violations.extend(rule.finalize())
     return LintReport(
         violations=sorted(v for v in violations if _selected(v.code, select)),
         files_checked=len(files),
@@ -294,12 +282,10 @@ def run_lint_report(
 
 
 def run_lint(
-    paths: Sequence[str | Path],
-    select: Sequence[str] | None = None,
-    rules: Sequence[type[Rule]] | None = None,
+    paths: Sequence[str | Path], select: Sequence[str] | None = None
 ) -> list[Violation]:
     """Violations only — the original API, kept for rule tests."""
-    return run_lint_report(paths, select=select, rules=rules).violations
+    return run_lint_report(paths, select=select).violations
 
 
 # ---------------------------------------------------------------- output
@@ -330,68 +316,6 @@ def format_json(
         # Suppressed findings stay auditable: each disable comment is
         # reported with its `-- reason` justification (None if missing).
         "suppressions": [s.as_dict() for s in suppressions],
-    }
-    return json.dumps(payload, indent=2, sort_keys=True)
-
-
-def format_sarif(
-    violations: Sequence[Violation], files_checked: int = 0
-) -> str:
-    """SARIF 2.1.0 output for GitHub code-scanning annotations."""
-    codes = sorted({v.code for v in violations})
-    by_code: dict[str, type[Rule]] = {}
-    for rule_cls in all_rules():
-        by_code.setdefault(rule_cls.code, rule_cls)
-    rules_meta = []
-    for code in codes:
-        rule_cls = by_code.get(code)
-        rules_meta.append(
-            {
-                "id": code,
-                "name": rule_cls.name if rule_cls else "parse-error",
-                "shortDescription": {
-                    "text": rule_cls.description
-                    if rule_cls
-                    else "file could not be parsed"
-                },
-            }
-        )
-    index = {code: i for i, code in enumerate(codes)}
-    results = [
-        {
-            "ruleId": v.code,
-            "ruleIndex": index[v.code],
-            "level": "error",
-            "message": {"text": v.message},
-            "locations": [
-                {
-                    "physicalLocation": {
-                        "artifactLocation": {"uri": v.path.replace("\\", "/")},
-                        "region": {
-                            "startLine": v.line,
-                            # SARIF columns are 1-based; ours are 0-based.
-                            "startColumn": v.col + 1,
-                        },
-                    }
-                }
-            ],
-        }
-        for v in violations
-    ]
-    payload = {
-        "$schema": "https://json.schemastore.org/sarif-2.1.0.json",
-        "version": "2.1.0",
-        "runs": [
-            {
-                "tool": {
-                    "driver": {
-                        "name": "reprolint",
-                        "rules": rules_meta,
-                    }
-                },
-                "results": results,
-            }
-        ],
     }
     return json.dumps(payload, indent=2, sort_keys=True)
 

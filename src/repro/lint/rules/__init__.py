@@ -4,42 +4,15 @@ Importing this package registers every rule with the framework registry:
 
 * :mod:`repro.lint.rules.determinism` — RPL1xx, bit-for-bit
   reproducibility of simulated results.
-* :mod:`repro.lint.rules.cachekey` — RPL2xx, result-cache key covers
-  every behaviour-affecting config field.
-* :mod:`repro.lint.rules.kernels` — RPL3xx, structural half of the
-  reference/array kernel bit-identity contract.
-* :mod:`repro.lint.rules.stats` — RPL4xx, CacheStats moves only through
-  its own methods.
-* :mod:`repro.lint.rules.snapshots` — RPL5xx, the session snapshot
-  payload covers every SessionSnapshot field (checkpoint/resume
-  bit-identity).
-* :mod:`repro.lint.rules.streams` — RPL6xx, the compiled-stream
-  fingerprint covers every workload constructor parameter.
 * :mod:`repro.lint.rules.process_safety` — RPL7xx, process/concurrency
   safety across the ProcessPoolExecutor fork boundary (dataflow-backed).
-* :mod:`repro.lint.rules.dataflow_taint` — RPL8xx, address/tag taint
-  flowing through aliases into float math or narrowing dtypes
-  (dataflow upgrade of RPL302/303).
+
+The invariants other families once restated statically (cache-key and
+stream-fingerprint completeness, kernel parity, stats purity, snapshot
+payloads) are held by runtime guards and their tests; DESIGN.md
+section 7 maps each retired code to its guard.
 """
 
-from repro.lint.rules import (
-    cachekey,
-    dataflow_taint,
-    determinism,
-    kernels,
-    process_safety,
-    snapshots,
-    stats,
-    streams,
-)
+from repro.lint.rules import determinism, process_safety
 
-__all__ = [
-    "determinism",
-    "cachekey",
-    "kernels",
-    "snapshots",
-    "stats",
-    "streams",
-    "process_safety",
-    "dataflow_taint",
-]
+__all__ = ["determinism", "process_safety"]

@@ -1,12 +1,13 @@
-"""Runtime sanitizer: the dynamic twin of reprolint's invariants.
+"""Runtime sanitizer: the simulation's invariants, re-proved as it runs.
 
-reprolint proves invariants *statically* where it can; this package
-checks the same invariants *dynamically* where it can't. Set
-``REPRO_SANITIZE=1`` and the simulation stack verifies, as it runs:
+reprolint rejects what no run can observe (unseeded RNGs, state copied
+across the fork); this package checks the invariants a run *can*
+observe, inside real runs. Set ``REPRO_SANITIZE=1`` and the simulation
+stack verifies, as it runs:
 
 * **Ledger conservation** (:mod:`repro.sanitize.ledger`) — after every
   ``commit_stage``, each :class:`~repro.cache.base.CacheStats` in the
-  component stack satisfies the RPL401 ledger model (totals equal the
+  component stack satisfies the ledger model (totals equal the
   per-tag sums, misses bounded by accesses) and the decorator/pipeline
   *chain identities* hold (a mechanism's probes equal its inner
   component's misses, rescued misses balance, pipeline levels agree on

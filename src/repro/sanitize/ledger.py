@@ -1,6 +1,6 @@
 """CacheStats conservation and chain-identity checks.
 
-The ledger model (DESIGN.md section 7, RPL401): all counter movement
+The ledger model (DESIGN.md sections 7 and 12): all counter movement
 goes through ``CacheStats.record``, so at any commit boundary the totals
 must be *conserved* — aggregate counters equal their per-tag
 decompositions — and, across a decorated component stack, the mechanism

@@ -38,9 +38,9 @@ workload generators are deterministic functions of their seed, so
 :meth:`restore` rebuilds the workload and fast-forwards its block stream
 to the recorded cursor, replaying allocation/free side effects into the
 fresh object map. Every session snapshots as one shape, a
-:class:`SessionSnapshot` of per-core :class:`CoreState` records, and
-``reprolint`` rule RPL501 cross-checks both payloads against their
-dataclass fields so they cannot drift apart silently.
+:class:`SessionSnapshot` of per-core :class:`CoreState` records. Neither
+record has a field default, so a payload that misses a field, or names
+one that does not exist, raises instead of restoring a default.
 """
 
 from __future__ import annotations
@@ -1040,8 +1040,8 @@ class SimulationSession:
 
     def _core_state(self) -> CoreState:
         """This core's :class:`CoreState`, the one constructor both
-        ``snapshot()`` methods use (RPL501 checks its payload against the
-        fields)."""
+        ``snapshot()`` methods use (its payload must name every field:
+        :class:`CoreState` has no defaults)."""
         if self.port is not None:
             # Classified addresses still pending attribution would be
             # lost by a snapshot (the arrays are drained, not pickled);

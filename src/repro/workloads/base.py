@@ -60,7 +60,7 @@ class Workload(abc.ABC):
         #: :meth:`prepare` time. Deliberately *not* a constructor
         #: parameter: the reference stream is a pure function of
         #: (kwargs, seed) and the offset is a relocation of that same
-        #: stream, so compiled-stream fingerprints (RPL601/602) stay
+        #: stream, so compiled-stream fingerprints stay
         #: offset-free and multi-core sessions can share one compiled
         #: stream across cores. Set by `MultiCoreSession` before prepare.
         self.address_offset: int = 0

@@ -33,8 +33,8 @@ Cache layout: streams are content-addressed by :func:`stream_fingerprint`
 — workload class, every constructor parameter read back off the instance,
 and the repository code-version tag — so any edit to workload/sim sources
 invalidates cached streams exactly like it invalidates cached results.
-``reprolint`` rules RPL601/RPL602 pin the fingerprint payload and the
-parameter round-trip convention this relies on.
+:func:`workload_params` refuses a workload whose parameters do not
+round-trip, and the fingerprint tests pin the payload keys.
 """
 
 from __future__ import annotations
@@ -72,10 +72,9 @@ def workload_params(workload: "Workload") -> dict[str, object]:
     """Constructor parameters of ``workload``, read back off the instance.
 
     Every ``__init__`` parameter must round-trip through an instance
-    attribute of the same name (the convention reprolint RPL602 enforces
-    on workload classes); a parameter that does not is an error here —
-    silently omitting it would let two different streams share one
-    fingerprint.
+    attribute of the same name; a parameter that does not is an error
+    here — silently omitting it would let two different streams share
+    one fingerprint.
     """
     cls = type(workload)
     params: dict[str, object] = {}
@@ -93,7 +92,7 @@ def workload_params(workload: "Workload") -> dict[str, object]:
             raise StreamCompileError(
                 f"{cls.__name__} does not store constructor parameter "
                 f"{name!r} as an attribute; stream fingerprints require "
-                "the parameter round-trip convention (RPL602)"
+                "the parameter round-trip convention"
             ) from None
     return params
 
@@ -103,8 +102,7 @@ def stream_fingerprint(workload: "Workload") -> str:
 
     Keyed by the workload class, every constructor parameter and the
     repository code-version tag, so both parameter changes and source
-    edits (workloads/, sim/, memory/ …) produce fresh streams. The
-    payload keys are pinned by reprolint rule RPL601.
+    edits (workloads/, sim/, memory/ …) produce fresh streams.
     """
     from repro.experiments.cache_store import code_version_tag, stable_hash
 

@@ -272,7 +272,7 @@ class TraceWorkload(Workload):
     #: A replayed trace is already array-backed, and an arbitrary user
     #: trace (file path or in-memory blocks) cannot be content-addressed
     #: by constructor parameters — so stream compilation is opted out
-    #: rather than fingerprinted unsoundly (see RPL602).
+    #: rather than fingerprinted unsoundly (see ``workload_params``).
     compiled_stream_safe = False
     #: Recorded traces are frozen address streams: replaying one against
     #: a decorated stack cannot feed back into the stream, so mechanism

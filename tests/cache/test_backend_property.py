@@ -9,6 +9,12 @@ randomized workloads; this file lets hypothesis search the corner cases
 ``reference`` cache runs on the checked kernel of
 :mod:`tests.reference_oracle`, so every call also holds its leader walk
 to the plain per-reference loop.
+
+Each cache lifetime also draws where its lines live: low, around two
+bases near 2**40 that differ only above bit 32 (a 32-bit cast of the
+line numbers folds them onto each other, set for set), or near 2**57,
+where float64 byte addresses cannot tell neighbouring lines apart. Lines
+stay below 2**58, so 64-byte-line addresses stay below 2**64.
 """
 
 import numpy as np
@@ -70,6 +76,21 @@ def chunk_plans(draw):
     return plans
 
 
+def placed(lines, space):
+    """Byte addresses of drawn lines (0-255) moved into a line space."""
+    lines = np.asarray(lines, dtype=np.uint64)
+    if space == "alias":
+        # Lines l and l + 128 differ only in bit 33 (and stay in one set).
+        lines = (
+            np.uint64(1 << 40)
+            + (lines & np.uint64(127))
+            + ((lines >> np.uint64(7)) << np.uint64(33))
+        )
+    elif space == "high":
+        lines = lines + np.uint64((1 << 57) + (1 << 56))
+    return lines * np.uint64(LINE)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     policy=st.sampled_from(list(ReplacementPolicy)),
@@ -77,9 +98,12 @@ def chunk_plans(draw):
     n_sets_pow=st.integers(0, 4),
     seed=st.integers(0, 2**16),
     prefetch=st.booleans(),
+    space=st.sampled_from(["low", "alias", "high"]),
     plans=chunk_plans(),
 )
-def test_array_matches_reference(policy, assoc, n_sets_pow, seed, prefetch, plans):
+def test_array_matches_reference(
+    policy, assoc, n_sets_pow, seed, prefetch, space, plans
+):
     n_sets = 1 << n_sets_pow
     cfg = CacheConfig(
         size=LINE * assoc * n_sets, line_size=LINE, assoc=assoc, policy=policy
@@ -89,7 +113,7 @@ def test_array_matches_reference(policy, assoc, n_sets_pow, seed, prefetch, plan
         cfg, seed=seed, prefetch_next_line=prefetch, backend="array"
     )
     for lines, budget, writes in plans:
-        addrs = np.asarray(lines, dtype=np.uint64) * np.uint64(LINE)
+        addrs = placed(lines, space)
         wmask = None if writes is None else np.asarray(writes, dtype=bool)
         pos = 0
         while True:

@@ -177,6 +177,42 @@ class TestPoolFailures:
             assert named != (cache.get(spec.key()) is not None), spec.label
 
 
+class TestInlineFailures:
+    """``jobs=1`` runs the cells in this process and reports a failed
+    one exactly as the pool does."""
+
+    BAD = TaskSpec(
+        "synthetic-streams",
+        {"spec": STREAMS, "no_such_argument": 1},
+        seed=7,
+        sim=SIM,
+        label="bad-kwargs",
+    )
+
+    def _run(self, specs, tmp_path):
+        cache = ResultCache(tmp_path / "cache")
+        with pytest.raises(SimulationError) as info:
+            ParallelRunner(jobs=1, cache=cache).run(specs)
+        assert isinstance(info.value.__cause__, TypeError)
+        return cache, str(info.value)
+
+    def test_lone_cell_is_named(self, tmp_path):
+        _, message = self._run([self.BAD], tmp_path)
+        assert message.startswith(
+            f"1 of 1 cells failed: 'bad-kwargs' (key {self.BAD.key()}) "
+            "raised TypeError: "
+        )
+        assert "no_such_argument" in message
+
+    def test_good_cell_after_the_failure_is_cached(self, tmp_path):
+        good = grid()[0]
+        cache, message = self._run([self.BAD, good], tmp_path)
+        assert message.startswith("1 of 2 cells failed: 'bad-kwargs'")
+        assert good.key() not in message
+        assert cache.get(good.key()) is not None
+        assert cache.get(self.BAD.key()) is None
+
+
 class TestRunnerIntegration:
     """ExperimentRunner wired through the cache: warm + serial drivers."""
 

@@ -1,148 +1,14 @@
-"""CLI scoping aids: --changed, baselines, SARIF, suppression reasons."""
+"""Suppression reasons in the JSON report and the report object."""
 
 import json
-import subprocess
 
-import pytest
-
-from repro.lint.baseline import apply_baseline, fingerprint, load_baseline, write_baseline
 from repro.lint.cli import main
-from repro.lint.framework import run_lint, run_lint_report
+from repro.lint.framework import run_lint_report
 
 BAD_KERNEL = (
     "def f(addr):\n"
     "    return addr / 2\n"
 )
-
-
-@pytest.fixture
-def scoped_bad(tmp_path):
-    """A cache-scoped module with one RPL302 violation."""
-    pkg = tmp_path / "cache"
-    pkg.mkdir()
-    mod = pkg / "mod.py"
-    mod.write_text(BAD_KERNEL)
-    return mod
-
-
-class TestBaselineRoundTrip:
-    def test_write_then_apply_suppresses_known_findings(self, scoped_bad, tmp_path):
-        violations = run_lint([scoped_bad])
-        assert violations
-        baseline = tmp_path / "baseline.json"
-        write_baseline(violations, baseline)
-        allowed = load_baseline(baseline)
-        fresh, matched = apply_baseline(violations, allowed)
-        assert fresh == [] and matched == len(violations)
-
-    def test_new_finding_escapes_baseline(self, scoped_bad, tmp_path):
-        baseline = tmp_path / "baseline.json"
-        write_baseline(run_lint([scoped_bad]), baseline)
-        # Introduce a second, different defect.
-        scoped_bad.write_text(BAD_KERNEL + "\n\ndef g(tags):\n    return float(tags)\n")
-        fresh, matched = apply_baseline(
-            run_lint([scoped_bad]), load_baseline(baseline)
-        )
-        assert matched == 1
-        assert len(fresh) == 1 and "float(" in fresh[0].message
-
-    def test_extra_instance_of_known_defect_escapes(self, scoped_bad, tmp_path):
-        # Counts matter: a second copy of an already-baselined finding
-        # (same fingerprint) must still surface.
-        violations = run_lint([scoped_bad])
-        baseline = tmp_path / "baseline.json"
-        write_baseline(violations, baseline)
-        doubled = violations + violations
-        fresh, matched = apply_baseline(doubled, load_baseline(baseline))
-        assert matched == len(violations) and len(fresh) == len(violations)
-
-    def test_fingerprint_ignores_line_numbers(self, scoped_bad):
-        before = run_lint([scoped_bad])
-        scoped_bad.write_text("# a comment shifting lines\n" + BAD_KERNEL)
-        after = run_lint([scoped_bad])
-        assert [fingerprint(v) for v in before] == [fingerprint(v) for v in after]
-        assert before[0].line != after[0].line
-
-    def test_version_mismatch_rejected(self, tmp_path):
-        bad = tmp_path / "baseline.json"
-        bad.write_text(json.dumps({"version": 99, "entries": {}}))
-        with pytest.raises(ValueError):
-            load_baseline(bad)
-
-
-class TestCliBaseline:
-    def test_cli_round_trip(self, scoped_bad, tmp_path, capsys):
-        baseline = str(tmp_path / "baseline.json")
-        assert main([str(scoped_bad), "--write-baseline", baseline]) == 0
-        assert "wrote baseline" in capsys.readouterr().out
-        # With the baseline applied the same tree is clean (exit 0).
-        assert main([str(scoped_bad), "--baseline", baseline]) == 0
-        out = capsys.readouterr().out
-        assert "baselined finding(s) suppressed" in out
-
-    def test_cli_unreadable_baseline_is_usage_error(self, scoped_bad, tmp_path):
-        assert main([str(scoped_bad), "--baseline", str(tmp_path / "nope.json")]) == 2
-
-
-class TestCliChanged:
-    @pytest.fixture
-    def repo(self, tmp_path):
-        subprocess.run(["git", "init", "-q"], cwd=tmp_path, check=True)
-        subprocess.run(
-            ["git", "-c", "user.email=t@t", "-c", "user.name=t", "commit",
-             "--allow-empty", "-q", "-m", "seed"],
-            cwd=tmp_path,
-            check=True,
-        )
-        return tmp_path
-
-    def test_changed_picks_up_untracked_file(self, repo, monkeypatch, capsys):
-        pkg = repo / "cache"
-        pkg.mkdir()
-        (pkg / "mod.py").write_text(BAD_KERNEL)
-        monkeypatch.chdir(repo)
-        assert main([str(pkg), "--changed"]) == 1
-        assert "RPL302" in capsys.readouterr().out
-
-    def test_changed_with_no_changes_is_clean(self, repo, monkeypatch, capsys):
-        pkg = repo / "cache"
-        pkg.mkdir()
-        (pkg / "mod.py").write_text(BAD_KERNEL)
-        subprocess.run(["git", "add", "-A"], cwd=repo, check=True)
-        subprocess.run(
-            ["git", "-c", "user.email=t@t", "-c", "user.name=t", "commit",
-             "-q", "-m", "add"],
-            cwd=repo,
-            check=True,
-        )
-        monkeypatch.chdir(repo)
-        assert main([str(pkg), "--changed"]) == 0
-        assert "0 changed file(s)" in capsys.readouterr().out
-
-    def test_changed_outside_git_is_usage_error(self, tmp_path, monkeypatch):
-        pkg = tmp_path / "cache"
-        pkg.mkdir()
-        (pkg / "mod.py").write_text(BAD_KERNEL)
-        monkeypatch.chdir(tmp_path)
-        monkeypatch.setenv("GIT_DIR", str(tmp_path / "no-such-dir"))
-        assert main([str(pkg), "--changed"]) == 2
-
-
-class TestSarif:
-    def test_sarif_shape(self, scoped_bad, capsys):
-        assert main([str(scoped_bad), "--format", "sarif"]) == 1
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["version"] == "2.1.0"
-        run = doc["runs"][0]
-        assert run["tool"]["driver"]["name"] == "reprolint"
-        rule_ids = [r["id"] for r in run["tool"]["driver"]["rules"]]
-        assert "RPL302" in rule_ids
-        result = run["results"][0]
-        assert result["ruleId"] == "RPL302"
-        assert rule_ids[result["ruleIndex"]] == "RPL302"
-        loc = result["locations"][0]["physicalLocation"]
-        assert loc["region"]["startLine"] == 2
-        assert loc["region"]["startColumn"] >= 1  # SARIF is 1-based
 
 
 class TestSuppressionReasons:

@@ -8,21 +8,22 @@ compiled co-runners, their ratios, LRU or RANDOM at the private L1 and
 at the shared LLC, and a fused or a stepped run. A stepped run carries
 a sampler on core 0: its miss-budgeted calls reach the shared LLC, whose
 ``auto`` kernel switches to the reference kernel's leader walk once
-they keep being cut. Each run is snapshotted part-way, restored and
-finished under the sanitizer, and must report exactly what an
-uninterrupted, unsanitized run reports; a run the fused path admits
-also runs fused under the sanitizer, its port identities re-proved
-after every window.
+``PROBE_CUT_CALLS`` of them are cut short. Each run is snapshotted
+part-way, restored and finished under the sanitizer, and must report
+exactly what an uninterrupted, unsanitized run reports; a run the fused
+path admits also runs fused under the sanitizer, its port identities
+re-proved after every window.
 """
 
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro import sanitize
 from repro.cache import CacheConfig, ReplacementPolicy
+from repro.cache.kernels.auto import PROBE_CUT_CALLS
 from repro.core.sampling import SamplingProfiler
 from repro.sim import MultiCoreSession
 from tests.sanitize.test_sampling_sessions import sanitized
@@ -79,6 +80,17 @@ def _shared_kernel(session):
     return session.cores[0].port.shared_level.leaf._kernel
 
 
+def _compress_sampled(period):
+    return {
+        "apps": ["compress"],
+        "ratios": [1],
+        "l1_policy": ReplacementPolicy.LRU,
+        "llc_policy": ReplacementPolicy.LRU,
+        "chunk_size": 200,
+        "period": period,
+    }
+
+
 @st.composite
 def grids(draw):
     n = draw(st.integers(1, 3))
@@ -98,6 +110,8 @@ def grids(draw):
 class TestSanitizedMultiCoreSessions:
     @settings(max_examples=20, deadline=None)
     @given(grid=grids(), restore_at=st.floats(0.1, 0.9))
+    @example(grid=_compress_sampled(16), restore_at=0.5)
+    @example(grid=_compress_sampled(37), restore_at=0.5)
     def test_restored_run_equals_an_uninterrupted_one(self, grid, restore_at):
         stepped = grid["period"] is not None
         fusable = not stepped and ReplacementPolicy.RANDOM not in (
@@ -116,8 +130,14 @@ class TestSanitizedMultiCoreSessions:
             want = _outcome(session.finalize())
             assert fused.call_count == fusable
             if stepped:
-                # The sampler's cut calls moved the shared LLC onto the walk.
-                assert _shared_kernel(session)._inner.name == "reference"
+                # The sampler's cut calls move the shared LLC onto the
+                # walk once PROBE_CUT_CALLS of them close its probe; a
+                # run with fewer cut calls ends with the probe open.
+                kernel = _shared_kernel(session)
+                switched = kernel._cut_calls >= PROBE_CUT_CALLS
+                assert kernel._decided == switched
+                want_kernel = "reference" if switched else "array"
+                assert kernel._inner.name == want_kernel
 
             total = session.app_refs
             with sanitized() as gate:
@@ -140,3 +160,14 @@ class TestSanitizedMultiCoreSessions:
         assert got == want
         assert checks.get("ledger.shared_port", 0) > 0
         assert checks.get("rng.replay", 0) > 0
+
+    @pytest.mark.parametrize(("period", "backend"), [(16, "reference"), (37, "array")])
+    def test_only_cut_calls_close_the_shared_probe(self, period, backend):
+        """Period 16 cuts 16 shared-LLC calls short and switches early; at
+        period 37 most budgets run out on the last reference of a call,
+        which is not a cut, so the probe stays open to the end."""
+        session = _session(**_compress_sampled(period))
+        session.run()
+        kernel = _shared_kernel(session)
+        assert kernel._inner.name == backend
+        assert kernel._decided == (backend == "reference")

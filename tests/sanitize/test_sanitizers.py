@@ -114,6 +114,18 @@ class TestChainIdentity:
         with pytest.raises(SanitizerError, match="vc_probes"):
             check_component(vc)
 
+    def test_corrupt_hit_count_fires(self):
+        vc = self._decorated()
+        vc.stats.mechanism["vc_hits"] += 1
+        with pytest.raises(SanitizerError, match="rescued misses don't balance"):
+            check_component(vc)
+
+    def test_replaced_mechanism_ledger_fires(self):
+        vc = self._decorated()
+        vc.stats.mechanism = {}
+        with pytest.raises(SanitizerError, match="vc_probes 0 != inner misses"):
+            check_component(vc)
+
 
 class TestPipelineIdentity:
     def _hierarchy(self):

@@ -6,6 +6,7 @@ fresh process-equivalent context, must produce exactly the RunStats,
 profiles and interrupt records of an uninterrupted ``Simulator.run``.
 """
 
+import dataclasses
 import pickle
 import sys
 import types
@@ -20,7 +21,12 @@ from repro.core.search import NWaySearch
 from repro.errors import CounterError, SimulationError
 from repro.sim.engine import Simulator
 from repro.sim.instrumentation import HandlerResult, InstrumentationTool
-from repro.sim.session import SNAPSHOT_VERSION, SessionSnapshot, SimulationSession
+from repro.sim.session import (
+    SNAPSHOT_VERSION,
+    CoreState,
+    SessionSnapshot,
+    SimulationSession,
+)
 from repro.workloads.synthetic import SyntheticStreams, TreeChaser
 
 CFG = CacheConfig(size=64 * 1024, assoc=2)
@@ -242,6 +248,19 @@ class TestMultiTool:
 # ------------------------------------------------------------------ snapshot
 
 class TestSnapshotRestore:
+    @pytest.mark.parametrize("record", [CoreState, SessionSnapshot])
+    def test_snapshot_fields_have_no_defaults(self, record):
+        """Without defaults, ``CoreState(**payload)`` raises on a field
+        the payload never writes (it cannot restore to a default) and,
+        as any dataclass does, on a key that is not a field."""
+        defaulted = [
+            f.name
+            for f in dataclasses.fields(record)
+            if f.default is not dataclasses.MISSING
+            or f.default_factory is not dataclasses.MISSING
+        ]
+        assert defaulted == []
+
     @pytest.mark.parametrize("cut", [1, 5, 23])
     def test_restore_bit_identical_sampling(self, cut):
         base = make_sim().run(make_workload(), tool=SamplingProfiler(period=701))

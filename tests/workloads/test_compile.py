@@ -1,5 +1,7 @@
 """Stream compilation: fingerprints, caching, freezing and safety gates."""
 
+import inspect
+
 import numpy as np
 import pytest
 
@@ -12,8 +14,18 @@ from repro.workloads.compile import (
     stream_fingerprint,
     workload_params,
 )
-from repro.workloads.registry import make_workload
+from repro.workloads import compile as compile_module
+from repro.workloads.registry import EXTRA_WORKLOADS, SPEC_WORKLOADS, make_workload
 from repro.workloads.synthetic import TreeChaser
+
+#: Registry workloads that may be compiled, and the constructor
+#: arguments they cannot default.
+COMPILABLE = [
+    name
+    for name, cls in {**SPEC_WORKLOADS, **EXTRA_WORKLOADS}.items()
+    if cls.compiled_stream_safe
+]
+REQUIRED_KWARGS = {"synthetic-streams": {"spec": {"a": (64 * 1024, 1)}}}
 
 
 def _tomcatv(**overrides):
@@ -49,7 +61,7 @@ class TestFingerprint:
 
             def __init__(self, knob: int = 3) -> None:
                 super().__init__()
-                # Deliberately NOT storing `knob` (breaks RPL602's
+                # Deliberately NOT storing `knob` (breaks the parameter
                 # round-trip convention).
                 del knob
 
@@ -61,6 +73,43 @@ class TestFingerprint:
 
         with pytest.raises(StreamCompileError, match="knob"):
             workload_params(Sneaky())
+
+    def test_varargs_constructor_is_an_error(self):
+        class TakesVarargs(Workload):
+            name = "varargs"
+
+            def __init__(self, *arrays, **extra) -> None:
+                super().__init__()
+                self.arrays = arrays
+                self.extra = extra
+
+            def _declare(self):
+                pass
+
+            def _generate(self):
+                return iter(())
+
+        with pytest.raises(StreamCompileError, match=r"\*args"):
+            workload_params(TakesVarargs())
+
+    @pytest.mark.parametrize("name", COMPILABLE)
+    def test_registry_workloads_round_trip_every_parameter(self, name):
+        workload = make_workload(name, **REQUIRED_KWARGS.get(name, {}))
+        signature = inspect.signature(type(workload).__init__)
+        assert set(workload_params(workload)) == set(signature.parameters) - {"self"}
+
+    def test_format_and_class_change_it(self, monkeypatch):
+        class Renamed(SPEC_WORKLOADS["tomcatv"]):
+            pass
+
+        before = stream_fingerprint(_tomcatv())
+        assert stream_fingerprint(Renamed(n_steps=2, rows_per_step=4, seed=5)) != before
+        monkeypatch.setattr(
+            compile_module,
+            "STREAM_FORMAT_VERSION",
+            compile_module.STREAM_FORMAT_VERSION + 1,
+        )
+        assert stream_fingerprint(_tomcatv()) != before
 
 
 class TestCompile:
