@@ -618,7 +618,8 @@ class Pipeline(CacheComponent):
 
         if index is None:
             return r_last
-        miss_mask = self._lift(r_last.miss_mask, index, consumed)
+        miss_mask = np.zeros(consumed, dtype=bool)
+        miss_mask[index[r_last.miss_mask]] = True
         return KernelResult(miss_mask, consumed, r_last.misses, 0, 0, r_last.victims)
 
     def _filter(
@@ -636,18 +637,6 @@ class Pipeline(CacheComponent):
             index = hit_through if index is None else index[hit_through]
             addrs = addrs[hit_through]
         return addrs, index
-
-    @staticmethod
-    def _lift(
-        miss_mask: np.ndarray, index: np.ndarray | None, n: int
-    ) -> np.ndarray:
-        """A last-level ``miss_mask`` over what :meth:`_filter` passed
-        down, as a mask over the ``n`` references it was given."""
-        if index is None:
-            return miss_mask
-        lifted = np.zeros(n, dtype=bool)
-        lifted[index[miss_mask]] = True
-        return lifted
 
     def access(
         self,
@@ -726,8 +715,8 @@ class SharedCacheLevel:
     Each port records its own share of the leaf's traffic into the
     aggregate ledger when it commits, so the aggregate equals the sum of
     the port ledgers at every commit, whether one leaf call served one
-    core's chunk (stepping) or a whole multi-core window of several
-    cores' references (the fused path, DESIGN.md section 9).
+    core's chunk (stepping) or several cores' post-L1 pieces (the fused
+    path, DESIGN.md section 9).
     """
 
     def __init__(self, leaf: CacheComponent) -> None:
@@ -814,8 +803,8 @@ class SharedLevelPort(CacheComponent):
 
     def commit_stage(self, tag: str, accesses: int) -> None:
         # The port records its share into the aggregate ledger as well:
-        # one leaf call can serve several ports (a fused multi-core
-        # window), so the leaf's own staged counts are not one port's.
+        # one leaf call can serve several ports (the fused multi-core
+        # path), so the leaf's own staged counts are not one port's.
         for stats in (self.stats, self.shared_level.stats):
             stats.record(
                 tag,

@@ -3,7 +3,13 @@
 The array kernel wins wherever its vectorised phases run, and loses to
 the reference kernel where they cannot: there it falls back to a
 sequential tail that also pays array/list conversion and write-back per
-call. Two kinds of stream force that fallback:
+call. On two kinds of call it can only mirror the reference loop
+(``ArrayKernel._access_exact``), converting its whole state to lists and
+back each time: a write mask without ``victims``, and every call on a
+prefetching kernel. ``auto`` therefore runs those on the reference
+kernel outright: a prefetching kernel starts there, and the first
+write-mask call without ``victims`` closes the probe and moves the state
+over before it runs. Two kinds of stream force the fallback elsewhere:
 
 * **RANDOM replacement under heavy conflict.** RANDOM evictions must
   consume the shared eviction pool in global miss order, which defeats
@@ -16,7 +22,7 @@ call. Two kinds of stream force that fallback:
   walk steps only through line changes and writers. Every such stream
   measured, from miss density 0.005 to 0.49, runs faster there.
 
-``AutoKernel`` therefore starts on an inner :class:`ArrayKernel` and
+Otherwise ``AutoKernel`` starts on an inner :class:`ArrayKernel` and
 probes the stream: the probe closes after :data:`PROBE_REFS`
 references, or at the :data:`PROBE_CUT_CALLS`-th call its budget cut
 short, whichever comes first. Only a budget stops a call early, so an
@@ -70,13 +76,17 @@ class AutoKernel(SetKernel):
 
     def __init__(self, **kwargs) -> None:
         super().__init__(**kwargs)
-        self._inner: SetKernel = ArrayKernel(**kwargs)
+        # Every call of a prefetching kernel takes the array kernel's
+        # mirror of the reference loop: decide for the loop at once.
+        self._decided = self.prefetch_next_line
+        self._inner: SetKernel = (
+            ReferenceKernel if self._decided else ArrayKernel
+        )(**kwargs)
         self._probe_refs = 0
         self._probe_misses = 0
         #: Probe calls that stopped before the end of their chunk (only
         #: a miss budget stops a call early).
         self._cut_calls = 0
-        self._decided = False
 
     # ----------------------------------------------------------- delegation
 
@@ -87,6 +97,10 @@ class AutoKernel(SetKernel):
         writes: np.ndarray | None = None,
         victims: bool = False,
     ) -> KernelResult:
+        if writes is not None and not victims and not self._decided:
+            # The array kernel would only mirror the reference loop here.
+            self._decided = True
+            self._switch_to_reference()
         result = self._inner.access(addrs, miss_budget, writes, victims)
         if not self._decided:
             self._probe_refs += result.consumed

@@ -16,7 +16,9 @@ and per file (anywhere in the file, conventionally at the top)::
 Every violation carries its rule code, so suppressions are always
 targeted — there is deliberately no blanket ``disable=all``. The text
 after ``--`` is the justification; it is carried into the JSON report
-(``suppressions`` key) so every silenced finding stays auditable.
+(``suppressions`` key) so every silenced finding stays auditable. A
+suppression naming a code no rule emits (a typo, or a retired code)
+silences nothing, so it is itself reported, as ``RPL002``.
 """
 
 from __future__ import annotations
@@ -46,6 +48,9 @@ __all__ = [
 
 #: Rule code for files the linter cannot parse at all.
 PARSE_ERROR_CODE = "RPL001"
+
+#: Rule code for a suppression that names a code no rule emits.
+UNKNOWN_SUPPRESSION_CODE = "RPL002"
 
 _SUPPRESS_RE = re.compile(
     r"#\s*reprolint:\s*(disable|disable-file)\s*=\s*([A-Z0-9,\s]+?)"
@@ -154,6 +159,20 @@ class ParsedModule:
         """Whether any ancestor directory is named one of ``names``."""
         return bool(set(names) & set(self.parts))
 
+    def unknown_suppressions(self, known: set[str]) -> Iterator[Violation]:
+        """One finding per suppressed code outside ``known``, the codes
+        the rules emit: such a suppression silences nothing."""
+        for record in self.suppression_records:
+            for code in record.codes:
+                if code not in known:
+                    yield Violation(
+                        path=self.display_path,
+                        line=record.line,
+                        col=0,
+                        code=UNKNOWN_SUPPRESSION_CODE,
+                        message=f"suppression names {code}, which no rule emits",
+                    )
+
     def suppressed(self, violation: Violation) -> bool:
         if violation.code in self.file_suppressions:
             return True
@@ -248,9 +267,11 @@ def run_lint_report(
 
     ``select`` filters by code prefix (``["RPL1"]`` keeps the whole
     determinism family); suppression comments are honoured before
-    selection. Unparseable files yield a single ``RPL001`` violation.
+    selection. Unparseable files yield a single ``RPL001`` violation, and
+    each suppressed code no rule emits an ``RPL002`` one.
     """
     instances = [cls() for cls in all_rules()]
+    known = {rule.code for rule in instances}
     violations: list[Violation] = []
     suppressions: list[SuppressionRecord] = []
     files = collect_files(paths)
@@ -270,6 +291,7 @@ def run_lint_report(
             )
             continue
         suppressions.extend(module.suppression_records)
+        violations.extend(module.unknown_suppressions(known))
         for rule in instances:
             for violation in rule.check_module(module):
                 if not module.suppressed(violation):

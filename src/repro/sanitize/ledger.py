@@ -122,7 +122,7 @@ def _check_shared_port(component: object, label: str) -> None:
     sum* identity — the shared leaf's ledger equals the element-wise sum
     of every port's ledger, per counter and per tag, because each port
     records its own share into the aggregate when it commits (one leaf
-    call may serve several ports in a fused multi-core window).
+    call may serve several ports on the fused multi-core path).
     """
     count_check("ledger.shared_port")
     port_stats = component.stats

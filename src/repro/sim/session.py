@@ -724,20 +724,45 @@ class SimulationSession:
         self, addrs: np.ndarray, writes: np.ndarray | None
     ) -> None:
         result = self.cache.access(addrs, miss_budget=None, tag="app", writes=writes)
-        self._account(addrs, result.miss_mask)
+        self._account(len(addrs), addrs[result.miss_mask])
 
-    def _fused_chunks(self) -> Iterator[np.ndarray]:
+    def _fused_pieces(self) -> Iterator[tuple[int, np.ndarray, bool]]:
         """The compiled stream cut into :meth:`step`'s chunks, for a fused
-        multi-core run: each chunk's cycles are charged as it is handed
-        out, and each block's fixed cycles once it is used up."""
+        multi-core run: per chunk, its length, its references that pass
+        the private levels, and whether it closes a private-level batch.
+        The private levels run ahead over whole chunks, one call per batch
+        of at least ``chunk_size`` references (fewer only at the stream's
+        end). Each chunk's cycles are charged as it joins a batch, and
+        each block's fixed cycles once the block is used up."""
         assert self._compiled is not None
+        batch: list[np.ndarray] = []
+        size = 0
         for block in self._compiled.blocks:
             for lo in range(0, len(block), self.chunk_size):
-                chunk = block.addrs[lo : lo + self.chunk_size]
-                self._advance(len(chunk), block.cycles_per_ref)
-                yield chunk
+                batch.append(block.addrs[lo : lo + self.chunk_size])
+                size += len(batch[-1])
+                self._advance(len(batch[-1]), block.cycles_per_ref)
+                if size >= self.chunk_size:
+                    yield from self._filter_batch(batch)
+                    batch, size = [], 0
             self.clock.advance_app(block.extra_cycles)
         self._close_stream()
+        yield from self._filter_batch(batch)
+
+    def _filter_batch(
+        self, batch: list[np.ndarray]
+    ) -> Iterator[tuple[int, np.ndarray, bool]]:
+        """One private-level call (``Pipeline._filter``) over ``batch``'s
+        chunks, split back into their pieces (see :meth:`_fused_pieces`)."""
+        if not batch:
+            return
+        post, index = self.cache._filter(np.concatenate(batch))
+        ends = np.cumsum([len(chunk) for chunk in batch])
+        cuts = ends if index is None else np.searchsorted(index, ends)
+        lo = 0
+        for i, hi in enumerate(cuts.tolist()):
+            yield len(batch[i]), post[lo:hi], i == len(batch) - 1
+            lo = hi
 
     def _close_stream(self) -> None:
         """Leave the cursor where stepping a fused stream to its end would."""
@@ -748,17 +773,14 @@ class SimulationSession:
 
     # ---------------------------------------------------- chunk accounting
 
-    def _account(self, refs: np.ndarray, miss_mask: np.ndarray) -> np.ndarray:
-        """Count ``refs`` as simulated and feed their misses (``miss_mask``
-        over ``refs``) to the monitor and ground truth; returns the miss
-        addresses."""
-        miss_addrs = refs[miss_mask]
+    def _account(self, n_refs: int, miss_addrs: np.ndarray) -> None:
+        """Count ``n_refs`` references as simulated and feed their misses,
+        ``miss_addrs`` in stream order, to the monitor and ground truth."""
         self.monitor.observe(miss_addrs)
         if self.ground_truth is not None:
             self.ground_truth.observe(miss_addrs, cycle=self.clock.now)
-        self.stats.app_refs += len(refs)
+        self.stats.app_refs += n_refs
         self.stats.app_misses += len(miss_addrs)
-        return miss_addrs
 
     def _advance(self, n_refs: int, cycles_per_ref: float) -> None:
         """Charge one chunk's ``n_refs`` references to the clock, carrying
@@ -812,7 +834,8 @@ class SimulationSession:
             chunk, miss_budget=miss_budget, tag="app", writes=chunk_writes
         )
         consumed = result.consumed
-        miss_addrs = self._account(chunk[:consumed], result.miss_mask)
+        miss_addrs = chunk[:consumed][result.miss_mask]
+        self._account(consumed, miss_addrs)
         self._advance(consumed, block.cycles_per_ref)
         self._pos += consumed
         if self._refs_left is not None:
@@ -1413,77 +1436,66 @@ class MultiCoreSession:
     def _run_fused(self) -> None:
         """Walk the grant schedule :meth:`step` would produce — the same
         ``ratio`` grants of the same chunks, exhausted cores dropped —
-        in windows of whole grants holding at most ``chunk_size``
-        references (a single larger grant is a window of its own)."""
+        giving each cache level calls sized by its own traffic. Each
+        core's private levels run ahead over its own stream
+        (:meth:`SimulationSession._fused_pieces`); the shared leaf takes
+        the post-L1 pieces in grant order, in calls that close once they
+        hold ``chunk_size`` references and when a core's stream ends."""
         from itertools import islice
 
-        streams = [core._fused_chunks() for core in self.cores]
+        feeds = [core._fused_pieces() for core in self.cores]
         live = list(self.cores)
         limit = self.cores[0].chunk_size
-        window: list[tuple[SimulationSession, list[np.ndarray]]] = []
+        buffer: list[tuple[SimulationSession, int, np.ndarray, bool]] = []
         size = 0
         while live:
             for core in list(live):
-                grant = list(islice(streams[core.core_id], core.ratio))
+                grant = list(islice(feeds[core.core_id], core.ratio))
+                buffer += [(core, *piece) for piece in grant]
+                size += sum(len(post) for _, post, _ in grant)
                 if not grant:
                     live.remove(core)
-                    continue
-                refs = sum(map(len, grant))
-                if window and size + refs > limit:
-                    self._fused_window(window)
-                    window, size = [], 0
-                window.append((core, grant))
-                size += refs
-        if window:
-            self._fused_window(window)
+                if size >= limit or (buffer and not grant):
+                    self._fused_flush(buffer)
+                    buffer, size = [], 0
 
-    def _fused_window(
-        self, window: list[tuple[SimulationSession, list[np.ndarray]]]
+    def _fused_flush(
+        self, buffer: list[tuple[SimulationSession, int, np.ndarray, bool]]
     ) -> None:
-        """Run one window through every cache level once: each core's
-        private levels over its own grants, the shared leaf over the
-        post-L1 pieces in grant order, and each shadow over its core's
-        post-L1 references. Ledgers, monitor, ground truth and tallies
-        then take one commit per core."""
+        """One shared-leaf call over ``buffer``'s (core, chunk length,
+        post-L1 piece, closes a private batch) entries, in grant order.
+        Each core's shadow then classifies that core's share, and its
+        monitor, ground truth and tallies take it. A core's ledgers commit
+        when its share ends on a private-level batch boundary: only there
+        do all its levels' staged counts cover the same references. Its
+        stream's last piece always ends one."""
         from repro.cache.kernels.base import KernelResult
 
-        chunks: dict[int, list[np.ndarray]] = {}
-        grants: list[tuple[int, int, int]] = []  # (core, first ref, end)
-        for core, grant in window:
-            mine = chunks.setdefault(core.core_id, [])
-            start = sum(map(len, mine))
-            mine += grant
-            grants.append((core.core_id, start, start + sum(map(len, grant))))
-        refs, post, index = {}, {}, {}
-        for cid, mine in chunks.items():
-            pipeline = self.cores[cid].cache
-            pipeline.begin_stage()
-            refs[cid] = np.concatenate(mine)
-            post[cid], index[cid] = pipeline._filter(refs[cid])
-        pieces, owners = [], []
-        for cid, start, end in grants:
-            if index[cid] is not None:
-                start, end = np.searchsorted(index[cid], (start, end))
-            pieces.append(post[cid][start:end])
-            owners.append(np.full(end - start, cid))
-        leaf = self.shared_level.leaf._chunk_access(np.concatenate(pieces))
-        owner = np.concatenate(owners)
-        for cid in chunks:
-            core = self.cores[cid]
+        posts = [post for _, _, post, _ in buffer]
+        refs = np.concatenate(posts)
+        leaf = self.shared_level.leaf._chunk_access(refs)
+        owner = np.repeat([core.core_id for core, *_ in buffer], list(map(len, posts)))
+        app_refs: dict[SimulationSession, int] = {}
+        closes: dict[SimulationSession, bool] = {}
+        for core, n_refs, _, closes_batch in buffer:
+            app_refs[core] = app_refs.get(core, 0) + n_refs
+            closes[core] = closes_batch
+        for core, n_refs in app_refs.items():
+            mine = owner == core.core_id
+            post, shared_miss = refs[mine], leaf.miss_mask[mine]
             # No writebacks or prefetches to split: pipelines drop write
             # masks and shared leaves never prefetch.
-            shared_miss = leaf.miss_mask[owner == cid]
             core.port._classify(
-                post[cid],
-                KernelResult(
-                    shared_miss, len(shared_miss), int(shared_miss.sum()), 0, 0
-                ),
+                post, KernelResult(shared_miss, len(post), int(shared_miss.sum()), 0, 0)
             )
-            core.cache.commit_stage("app", len(refs[cid]))
-            core._account(
-                refs[cid], core.cache._lift(shared_miss, index[cid], len(refs[cid]))
-            )
+            core._account(n_refs, post[shared_miss])
             core._attribute()
+            if closes[core]:
+                # The ledger's accesses trail app_refs by exactly the
+                # references staged since the last commit.
+                core.cache.commit_stage(
+                    "app", core.stats.app_refs - core.cache.stats.accesses
+                )
 
     # ------------------------------------------------------------- finalize
 

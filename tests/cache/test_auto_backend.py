@@ -9,6 +9,8 @@ Whatever it decides, results must be bit-identical to both fixed
 backends — the choice is a speed knob.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -157,19 +159,22 @@ def _assert_same_state(kernels):
         assert inner._rand_draws == ref._rand_draws, name
 
 
-def _sampler_calls(kernels, stream, budget, n_calls, offered=2000, seed=3):
+def _sampler_calls(
+    kernels, stream, budget, n_calls, offered=2000, seed=3, writes=False
+):
     """Feed every kernel the same budgeted calls, the way a sampling
     session does: each call is offered the next ``offered`` references
-    and resumes where the last one stopped. Every third call carries a
-    write mask. Asserts equal results per call; yields the count of
-    calls cut short so far after each call."""
+    and resumes where the last one stopped. With ``writes``, every third
+    call from the third on carries a write mask (the first one moves
+    ``auto`` to the reference kernel). Asserts equal results per call;
+    yields the count of calls cut short so far after each call."""
     rng = np.random.default_rng(seed)
     pos = cut = 0
     for k in range(n_calls):
         chunk = stream[pos : pos + offered]
-        writes = rng.random(len(chunk)) < 0.3 if k % 3 == 0 else None
+        writes_k = rng.random(len(chunk)) < 0.3 if writes and k % 3 == 2 else None
         results = {
-            name: kernel.access(chunk, miss_budget=budget, writes=writes)
+            name: kernel.access(chunk, miss_budget=budget, writes=writes_k)
             for name, kernel in kernels.items()
         }
         want = results["reference"]
@@ -259,3 +264,68 @@ class TestBudgetCutTrigger:
         old = ("auto-v1", "array", 10, 2, False, inner)
         with pytest.raises(SimulationError, match="'auto-v1'"):
             kernel.restore(old)
+
+
+# ------------------------------------------- the array kernel's mirror
+
+
+class TestMirrorCallsRunOnReference:
+    """On a write mask without ``victims``, and on every call of a
+    prefetching kernel, the array kernel can only mirror the reference
+    loop; ``auto`` runs such calls on the reference kernel outright."""
+
+    @pytest.mark.parametrize("budget", [None, 20], ids=["unbudgeted", "budgeted"])
+    @pytest.mark.parametrize("policy", POLICIES, ids=lambda p: p.value)
+    def test_first_write_mask_call_switches_before_it_runs(self, policy, budget):
+        kernels = _kernels(policy)
+        auto = kernels["auto"]
+        array = auto._inner
+        stream = _uniform(200_000, n_lines=2048)
+        with mock.patch.object(
+            array, "_access_exact", side_effect=AssertionError("mirror ran")
+        ):
+            calls = _sampler_calls(kernels, stream, budget, 12, writes=True)
+            for k, _ in enumerate(calls):
+                assert auto._inner.name == ("reference" if k >= 2 else "array")
+                assert auto._decided == (k >= 2)
+        _assert_same_state(kernels)
+
+    @pytest.mark.parametrize("policy", POLICIES, ids=lambda p: p.value)
+    def test_prefetching_kernel_starts_on_reference(self, policy):
+        kernels = {
+            name: make_kernel(
+                name, policy=policy, seed=7, prefetch_next_line=True, **GEOMETRY
+            )
+            for name in ("reference", "array", "auto")
+        }
+        auto = kernels["auto"]
+        assert auto._decided and auto._inner.name == "reference"
+        stream = _uniform(100_000, n_lines=2048)
+        for _ in _sampler_calls(kernels, stream, None, 10, writes=True):
+            assert auto._inner.name == "reference"
+        _assert_same_state(kernels)
+
+    @pytest.mark.parametrize("prefetch", [False, True], ids=["writes", "prefetch"])
+    def test_snapshot_after_the_switch_restores_onto_reference(self, prefetch):
+        policy = ReplacementPolicy.RANDOM
+        kernels = {
+            name: make_kernel(
+                name, policy=policy, seed=7, prefetch_next_line=prefetch, **GEOMETRY
+            )
+            for name in ("reference", "array", "auto")
+        }
+        stream = _uniform(100_000, n_lines=2048)
+        calls = _sampler_calls(kernels, stream, None, 40, writes=True)
+        for _ in range(4):
+            next(calls)
+        auto = kernels["auto"]
+        assert auto._inner.name == "reference"
+        restored = make_kernel(
+            "auto", policy=policy, seed=7, prefetch_next_line=prefetch, **GEOMETRY
+        )
+        restored.restore(auto.snapshot())
+        assert restored._decided and restored._inner.name == "reference"
+        kernels["restored"] = restored
+        for _ in calls:
+            assert restored._inner.name == "reference"
+        _assert_same_state(kernels)

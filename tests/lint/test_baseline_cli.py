@@ -1,13 +1,16 @@
-"""Suppression reasons in the JSON report and the report object."""
+"""Suppression reasons in the JSON report and the report object, and
+suppressions of codes no rule emits."""
 
 import json
 
-from repro.lint.cli import main
-from repro.lint.framework import run_lint_report
+import pytest
 
-BAD_KERNEL = (
-    "def f(addr):\n"
-    "    return addr / 2\n"
+from repro.lint.cli import main
+from repro.lint.framework import UNKNOWN_SUPPRESSION_CODE, run_lint_report
+
+HASHING = (
+    "def f(name):\n"
+    "    return hash(name)\n"
 )
 
 
@@ -17,14 +20,14 @@ class TestSuppressionReasons:
         pkg.mkdir()
         mod = pkg / "mod.py"
         mod.write_text(
-            "def f(addr):\n"
-            "    return addr / 2  "
-            "# reprolint: disable=RPL302 -- ratio for a plot only\n"
+            "def f(name):\n"
+            "    return hash(name)  "
+            "# reprolint: disable=RPL102 -- ratio for a plot only\n"
         )
         assert main([str(mod), "--format", "json"]) == 0
         doc = json.loads(capsys.readouterr().out)
         (record,) = doc["suppressions"]
-        assert record["codes"] == ["RPL302"]
+        assert record["codes"] == ["RPL102"]
         assert record["kind"] == "line"
         assert record["reason"] == "ratio for a plot only"
 
@@ -33,8 +36,8 @@ class TestSuppressionReasons:
         pkg.mkdir()
         mod = pkg / "mod.py"
         mod.write_text(
-            BAD_KERNEL
-            + "# reprolint: disable-file=RPL302 -- generated lookup table\n"
+            HASHING
+            + "# reprolint: disable-file=RPL102 -- generated lookup table\n"
         )
         assert main([str(mod), "--format", "json"]) == 0
         doc = json.loads(capsys.readouterr().out)
@@ -47,8 +50,8 @@ class TestSuppressionReasons:
         pkg.mkdir()
         mod = pkg / "mod.py"
         mod.write_text(
-            "def f(addr):\n"
-            "    return addr / 2  # reprolint: disable=RPL302\n"
+            "def f(name):\n"
+            "    return hash(name)  # reprolint: disable=RPL102\n"
         )
         assert main([str(mod), "--format", "json"]) == 0
         doc = json.loads(capsys.readouterr().out)
@@ -60,10 +63,40 @@ class TestSuppressionReasons:
         pkg.mkdir()
         mod = pkg / "mod.py"
         mod.write_text(
-            "def f(addr):\n"
-            "    return addr / 2  # reprolint: disable=RPL302 -- demo\n"
+            "def f(name):\n"
+            "    return hash(name)  # reprolint: disable=RPL102 -- demo\n"
         )
         report = run_lint_report([mod])
         assert report.violations == []
         (record,) = report.suppressions
-        assert record.codes == ("RPL302",) and record.reason == "demo"
+        assert record.codes == ("RPL102",) and record.reason == "demo"
+
+
+class TestUnknownSuppressedCodes:
+    @pytest.mark.parametrize("code", ["RPL302", "RPL999"], ids=["retired", "unknown"])
+    @pytest.mark.parametrize("kind", ["disable", "disable-file"])
+    def test_suppression_of_a_code_no_rule_emits_is_reported(
+        self, tmp_path, capsys, code, kind
+    ):
+        mod = tmp_path / "mod.py"
+        mod.write_text(
+            "def f(name):\n"
+            f"    return name  # reprolint: {kind}={code} -- stale\n"
+        )
+        assert main([str(mod), "--format", "json"]) == 1
+        doc = json.loads(capsys.readouterr().out)
+        (finding,) = doc["violations"]
+        assert finding["code"] == UNKNOWN_SUPPRESSION_CODE
+        assert finding["path"] == str(mod) and finding["line"] == 2
+        assert code in finding["message"]
+
+    def test_only_the_unknown_code_of_a_list_is_reported(self, tmp_path):
+        mod = tmp_path / "mod.py"
+        mod.write_text(
+            "def f(name):\n"
+            "    return hash(name)  # reprolint: disable=RPL102,RPL302\n"
+        )
+        # RPL102 still silences the hash() call; only RPL302 is reported.
+        (finding,) = run_lint_report([mod]).violations
+        assert (finding.line, finding.code) == (2, UNKNOWN_SUPPRESSION_CODE)
+        assert "RPL302" in finding.message and "RPL102" not in finding.message

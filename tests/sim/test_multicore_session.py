@@ -14,11 +14,12 @@ as stepping it leaves it; ``while session.step()`` is the oracle.
 from __future__ import annotations
 
 import os
+from contextlib import ExitStack
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro import sanitize
@@ -499,9 +500,23 @@ def co_runner_grids(draw):
     }
 
 
+def fixed_grid(apps, ratios, l1, llc, chunk_size) -> dict:
+    return {"apps": apps, "ratios": ratios, "l1": l1, "llc": llc, "chunk_size": chunk_size}
+
+
 class TestFusedPath:
     @settings(max_examples=25, deadline=None)
     @given(grid=co_runner_grids())
+    # Boundaries of the per-level fused path:
+    # - leaf calls that close exactly where tomcatv's three-chunk private
+    #   batches close (its ledgers commit there), and calls inside one;
+    @example(grid=fixed_grid(["tomcatv", "trace"], [1, 1], True, FUSED_LLCS[0], 900))
+    # - tomcatv, the shortest co-runner here, ends inside its first batch;
+    @example(grid=fixed_grid(["tomcatv", "trace"], [2, 1], True, FUSED_LLCS[1], 7000))
+    # - no private level: the leaf takes the chunks themselves;
+    @example(grid=fixed_grid(["compress", "trace"], [1, 1], False, FUSED_LLCS[0], 1000))
+    # - uneven grants.
+    @example(grid=fixed_grid(["trace", "mgrid"], [3, 1], True, FUSED_LLCS[0], 700))
     def test_fused_run_equals_stepping(self, grid):
         with spy_fused() as fused:
             session = fused_session(**grid)
@@ -564,6 +579,34 @@ class TestFusedPath:
                 session.run()
         assert fused.call_count == 0
         assert outcome(session) == outcome(stepped(session_for()))
+
+    def test_each_level_is_called_per_its_own_traffic(self):
+        """Private levels take one call per batch of at least
+        ``chunk_size`` references; the shared leaf and each shadow one per
+        ``chunk_size`` post-L1 references, plus at most one per core for
+        calls a finished stream closes early."""
+        chunk_size = 1000
+        session = fused_session(["compress", "trace"], chunk_size=chunk_size)
+        levels = {"leaf": session.shared_level.leaf}
+        for core in session.cores:
+            levels[f"l1.c{core.core_id}"] = core.cache.levels[0]
+            levels[f"shadow.c{core.core_id}"] = core.port.shadow
+        with ExitStack() as stack:
+            calls = {
+                name: stack.enter_context(
+                    mock.patch.object(level, "_chunk_access", wraps=level._chunk_access)
+                ).call_args_list
+                for name, level in levels.items()
+            }
+            with spy_fused() as fused:
+                session.run()
+        assert fused.call_count == 1
+        post_refs = sum(len(call.args[0]) for call in calls["leaf"])
+        bound = -(-post_refs // chunk_size) + len(session.cores)
+        assert 0 < len(calls["leaf"]) <= bound
+        for core in session.cores:
+            assert len(calls[f"shadow.c{core.core_id}"]) <= bound
+            assert len(calls[f"l1.c{core.core_id}"]) <= core.stats.app_refs // chunk_size + 1
 
 
 @pytest.fixture
