@@ -14,15 +14,20 @@ name:
   (writers and line changes).  Semantics are defined by the plain
   per-reference loop it is held to (tests/reference_oracle.py).
 * ``"array"`` — flat-array state with a vectorised fast path for
-  streaming chunks.  **Bit-identical** to the reference kernel: same
-  miss masks, same ``miss_budget`` early-exit points, same
-  writeback/prefetch counts, same seeded RANDOM-eviction stream
-  (enforced by tests/cache/test_backend_equivalence.py).
+  streaming chunks; what the fast path cannot do runs the reference
+  kernel's per-reference walk over set lists built from the arrays.
+  **Bit-identical** to the reference kernel: same miss masks, same
+  ``miss_budget`` early-exit points, same writeback/prefetch counts,
+  same seeded RANDOM-eviction stream (enforced by
+  tests/cache/test_backend_equivalence.py).
 * ``"auto"`` — starts on the array kernel, probes the stream, and
   transplants the state into the reference kernel when a miss budget
   keeps cutting its calls short (a sampler) or when the policy is
   RANDOM and the observed miss density is high: the regimes where the
-  array kernel's sequential fallback loses. Either way the results are
+  array kernel's sequential walk loses. A prefetching kernel starts on
+  the reference kernel, and the first write-mask call without
+  ``victims`` switches to it before it runs: the array kernel has no
+  vectorised phase for either. Whatever it picks, the results are
   bit-identical; only throughput changes.
 
 Every geometry runs on these kernels, direct-mapped (``assoc=1``)

@@ -22,6 +22,13 @@ draw rule: the pool is never pre-sized, it is refilled with
 empty. Draws then depend on the eviction count alone, so a decorated
 stack gives the same results however its stream is cut into calls.
 
+Each draw rule has one per-reference loop, here, and every backend runs
+both: :meth:`SetKernel._walk` for calls without ``victims`` and
+:meth:`SetKernel._victim_walk` for calls with it. They step through
+per-set lists of resident lines (:class:`SetLists`): the reference
+kernel's own state, or the array kernel's sets built from its arrays on
+first touch.
+
 A call under a ``miss_budget`` usually stops long before the end of the
 chunk it is offered. :func:`budget_windows` is the one rule for running
 such a call in growing windows, so its cost follows the references it
@@ -32,8 +39,8 @@ all use it.
 from __future__ import annotations
 
 import abc
-from collections.abc import Iterator
-from typing import NamedTuple
+from collections.abc import Iterable, Iterator
+from typing import NamedTuple, Protocol
 
 import numpy as np
 
@@ -136,6 +143,13 @@ def victim_result(
     )
 
 
+class SetLists(Protocol):
+    """Per-set lists of resident lines, oldest or least recent first,
+    indexed by set: what the walks of :class:`SetKernel` step through."""
+
+    def __getitem__(self, set_idx: int, /) -> list[int]: ...
+
+
 class SetKernel(abc.ABC):
     """Abstract set-associative kernel: per-set state + classification."""
 
@@ -184,24 +198,90 @@ class SetKernel(abc.ABC):
         if len(self._rand_pool) < 2 * n:
             self._refill_rand_pool(2 * n)
 
+    def _walk(
+        self,
+        lines: list[int],
+        walk: Iterable[int],
+        sets: SetLists,
+        dirty: set[int],
+        write_flags: list[bool] | None,
+        miss_flags: bytearray,
+        budget: int,
+    ) -> tuple[int, int, int, int | None]:
+        """The per-reference loop of a call without ``victims``.
+
+        Applies the references at positions ``walk`` of ``lines``, in
+        order, to ``sets`` and ``dirty`` (the dirty lines) under the
+        chunk-keyed RANDOM pool (the caller sizes it from the offered
+        chunk), and flags each miss at its position in ``miss_flags``.
+        Stops at the ``budget``-th miss. Returns the misses, writebacks
+        and prefetches, and the position just past the ``budget``-th
+        miss (None when ``walk`` ran out first).
+        """
+        set_mask = self.set_mask
+        assoc = self.assoc
+        lru = self.policy is ReplacementPolicy.LRU
+        random_policy = self.policy is ReplacementPolicy.RANDOM
+        prefetch = self.prefetch_next_line
+        rand_pool = self._rand_pool
+        misses = 0
+        writebacks = 0
+        prefetches = 0
+        for i in walk:
+            line = lines[i]
+            s = sets[line & set_mask]
+            if line in s:
+                if lru and s[-1] != line:
+                    s.remove(line)
+                    s.append(line)
+                if write_flags is not None and write_flags[i]:
+                    dirty.add(line)
+            else:
+                miss_flags[i] = 1
+                misses += 1
+                if len(s) >= assoc:
+                    if random_policy:
+                        victim = s.pop(rand_pool.pop())
+                    else:
+                        victim = s.pop(0)  # LRU and FIFO both evict the head
+                    if victim in dirty:
+                        dirty.discard(victim)
+                        writebacks += 1
+                s.append(line)
+                if write_flags is not None and write_flags[i]:
+                    dirty.add(line)  # write-allocate: filled dirty
+                if prefetch:
+                    nxt = line + 1
+                    ps = sets[nxt & set_mask]
+                    if nxt not in ps:
+                        prefetches += 1
+                        if len(ps) >= assoc:
+                            victim = ps.pop(
+                                rand_pool.pop() if random_policy else 0
+                            )
+                            if victim in dirty:
+                                dirty.discard(victim)
+                                writebacks += 1
+                        ps.append(nxt)
+                budget -= 1
+                if budget == 0:
+                    return misses, writebacks, prefetches, i + 1
+        return misses, writebacks, prefetches, None
+
     def _victim_walk(
         self,
         lines: list[int],
-        sets: list,
+        sets: SetLists,
         dirty: set[int],
         write_flags: list[bool] | None = None,
         budget: int | None = None,
-        materialise=None,
     ) -> tuple[list[int], list[int], int]:
         """The per-reference loop of a ``victims=True`` call.
 
-        Applies ``lines`` in order to ``sets`` (per-set lists of
-        resident lines, oldest or least recent first, as the reference
-        kernel keeps them; a ``None`` entry is built on first touch by
-        ``materialise(set_idx)``) and ``dirty`` (the dirty lines), under
-        the refill-on-empty draw rule. Stops after the ``budget``-th
-        miss. Returns the miss indices into ``lines``, their victims and
-        the writeback count.
+        Applies ``lines`` in order to ``sets`` and ``dirty`` (the dirty
+        lines), under the refill-on-empty draw rule. Stops after the
+        ``budget``-th miss. Returns the miss indices into ``lines``,
+        their victims and the writeback count.
         """
         set_mask = self.set_mask
         assoc = self.assoc
@@ -214,8 +294,6 @@ class SetKernel(abc.ABC):
         for i in range(len(lines)):
             line = lines[i]
             s = sets[line & set_mask]
-            if s is None:
-                s = materialise(line & set_mask)
             write = write_flags is not None and write_flags[i]
             if line in s:
                 if lru and s[-1] != line:

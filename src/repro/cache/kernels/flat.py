@@ -36,13 +36,19 @@ property tests:
   per-set Python tail for LRU/FIFO whole-chunk calls and is what fixed
   the scattered-miss regression on conflict-heavy streams.
 
+Everything the vectorised phases cannot do runs one sequential walk,
+:meth:`ArrayKernel._walk_sets`: the shared per-reference loop of
+:class:`~repro.cache.kernels.base.SetKernel` over the touched sets as
+small logical-order Python lists, each built from the arrays on first
+touch and written back in one batched scatter at the end of the call.
 The rounds pass cannot express a global miss-budget cut (the cut point
 depends on the interleaved global miss order) or RANDOM eviction (pool
-pops happen in global miss order), so those cases, calls too short for
-any vectorised phase and the rounds pass's single-set pile-ups all run
-one sequential tail: touched sets are materialised lazily as small
-logical-order Python lists and written back to the arrays in one
-batched scatter at the end.
+pops happen in global miss order), so those leftovers take the walk, as
+do the rounds pass's single-set pile-ups and calls too short for any
+vectorised phase. So do whole calls with a write mask or on a
+prefetching kernel: prefetch fills may touch neighbouring sets
+mid-chunk and dirty bits must be set in reference order, so none of the
+vectorised phases is sound there.
 
 A call under a ``miss_budget`` runs in the windows of
 :func:`~repro.cache.kernels.base.budget_windows`: the fast path sees a
@@ -54,26 +60,17 @@ on about what the call consumes. Windows change no result: state
 carries over between them exactly, and RANDOM's eviction pool is sized
 once from the offered chunk before the first window.
 
-When a write mask or the next-line prefetcher is active the kernel runs
-a full sequential mirror of the reference loop over a flat list copy of
-the state: prefetch fills may touch neighbouring sets mid-chunk and
-dirty bits must be set in reference order, so none of the fast paths is
-sound.
-
 A ``victims=True`` call (mechanism decorators) takes the same phases and
 reads each miss's victim off the state it replaces: a fill run's victim
 is the tag under its slot before the run, or the fill ``assoc`` places
 earlier in its set; a rounds-tail miss's victim is the tag in the
-gathered row. Every sequential part (the tail, calls too short for a
-vectorised phase, the rounds tail's fallback, write masks) runs the
-shared victim walk over lazily built set lists, under the
-refill-on-empty RANDOM draw rule.
+gathered row. Its sequential parts run the shared victim walk over the
+same set lists, under the refill-on-empty RANDOM draw rule.
 """
 
 from __future__ import annotations
 
 import copy
-from collections.abc import Iterable
 
 import numpy as np
 
@@ -89,6 +86,14 @@ from repro.cache.policies import ReplacementPolicy
 
 #: Empty-slot sentinel; real line numbers are non-negative.
 _EMPTY = -1
+
+#: Leaders needed before the vectorised run phases are attempted (below
+#: this, per-round NumPy overhead exceeds the win).
+_BATCH_MIN = 64
+
+#: Leaders needed before the rounds tail beats the sequential walk; a
+#: call of fewer references goes straight to the walk.
+_ROUNDS_MIN = 32
 
 #: The chunk-scoped mutable state bundle threaded through the fast
 #: paths: (tags2d, dirty2d, head, cnt).
@@ -144,11 +149,6 @@ class ArrayKernel(SetKernel):
 
     def __init__(self, **kwargs) -> None:
         super().__init__(**kwargs)
-        #: Leaders needed before the vectorised run phases are attempted
-        #: (below this, per-round NumPy overhead exceeds the win).
-        self._batch_min = 64
-        #: Leaders needed before the rounds tail beats the Python tail.
-        self._rounds_min = 32
         #: True when ``assoc`` is a power of two, enabling mask modulo.
         self._way_mask = self.assoc & (self.assoc - 1) == 0
         self._alloc()
@@ -172,11 +172,10 @@ class ArrayKernel(SetKernel):
         return self._n_dirty
 
     def lines_in_set(self, set_idx: int) -> list[int]:
-        h = int(self._head_np[set_idx])
-        c = int(self._cnt_np[set_idx])
+        # A non-zero head only ever belongs to a full set.
         row = self._tags2d[set_idx].tolist()
-        ordered = row[h:] + row[:h] if h else row
-        return ordered[:c]
+        h = self._head_np.item(set_idx)
+        return row[h:] + row[:h] if h else row[: self._cnt_np.item(set_idx)]
 
     def contains_line(self, line: int) -> bool:
         return bool((self._tags2d[line & self.set_mask] == line).any())
@@ -222,19 +221,16 @@ class ArrayKernel(SetKernel):
         if n == 0:
             return empty_result(victims)
         lines_arr = np.asarray(addrs, dtype=np.uint64) >> self.line_bits
-        if victims and writes is not None:
-            miss_pos, evicted, writebacks = self._walk_sets(
-                lines_arr.tolist(), writes.tolist(), miss_budget
+        if not victims and self.policy is ReplacementPolicy.RANDOM:
+            # Sized once from the offered chunk, never per window.
+            self._ensure_rand_pool(n)
+        if writes is not None or self.prefetch_next_line or n < _ROUNDS_MIN:
+            return self._walk_sets(
+                lines_arr.tolist(),
+                None if writes is None else writes.tolist(),
+                miss_budget,
+                victims,
             )
-            return victim_result(n, miss_pos, evicted, writebacks, miss_budget)
-        if not victims:
-            if self.policy is ReplacementPolicy.RANDOM:
-                # Sized once from the offered chunk, never per window.
-                self._ensure_rand_pool(n)
-            if writes is not None or self.prefetch_next_line:
-                return self._access_exact(lines_arr, miss_budget, writes)
-        if n < self._rounds_min:
-            return self._access_short(lines_arr.tolist(), miss_budget, victims)
         parts: list[KernelResult] = []
         left = miss_budget
         for lo, hi in budget_windows(n, miss_budget):
@@ -246,167 +242,96 @@ class ArrayKernel(SetKernel):
                     break
         return parts[0] if len(parts) == 1 else _joined(parts, victims)
 
-    def _access_short(
-        self, lines: list[int], miss_budget: int | None, victims: bool
-    ) -> KernelResult:
-        """A call too short for any vectorised phase: straight to the
-        sequential tail (or, for ``victims``, the victim walk)."""
-        n = len(lines)
-        if victims:
-            miss_pos, evicted, writebacks = self._walk_sets(
-                lines, budget=miss_budget
-            )
-            return victim_result(n, miss_pos, evicted, writebacks, miss_budget)
-        miss_flags = bytearray(n)
-        misses, writebacks, stop = self._seq_tail(
-            lines, range(n), miss_flags, miss_budget
-        )
-        consumed = n if stop is None else stop
-        return _fast_result(miss_flags, consumed, misses, writebacks, None)
+    # ------------------------------------------------------ sequential walk
 
-    # ----------------------------------------------------- sequential mirror
-
-    def _access_exact(
+    def _walk_sets(
         self,
-        lines_arr: np.ndarray,
-        miss_budget: int | None,
-        writes: np.ndarray | None,
+        lines: list[int],
+        write_flags: list[bool] | None,
+        budget: int | None,
+        victims: bool,
     ) -> KernelResult:
-        """Per-reference mirror of the reference loop on flat list state.
+        """Apply ``lines`` as one call, a reference at a time.
 
-        Used whenever writes or prefetching make the fast paths unsound;
-        every branch matches the reference kernel's ordering exactly. The
-        array state is copied to flat lists for the duration of the chunk
-        (the loop is per-reference Python either way, so the conversion
-        is a small constant next to it).
+        Runs the walk of the call's draw rule (:meth:`SetKernel._walk`,
+        or :meth:`SetKernel._victim_walk` for ``victims``) over the
+        touched sets as lists built from the arrays on first touch
+        (:class:`_SetLists`), and writes them back once at the end. This
+        is the one sequential path: whole calls with a write mask, on a
+        prefetching kernel or too short for a vectorised phase, and the
+        leaders the vectorised phases leave over (:meth:`_tail`).
         """
-        n = len(lines_arr)
-        lines = lines_arr.tolist()
-        write_flags = writes.tolist() if writes is not None else None
-        set_mask = self.set_mask
+        n = len(lines)
+        sets = _SetLists(self)
+        if victims:
+            miss_pos, evicted, writebacks = self._victim_walk(
+                lines, sets, sets.dirty, write_flags, budget
+            )
+            result = victim_result(n, miss_pos, evicted, writebacks, budget)
+        else:
+            miss_flags = bytearray(n)
+            misses, writebacks, prefetches, cut = self._walk(
+                lines,
+                range(n),
+                sets,
+                sets.dirty,
+                write_flags,
+                miss_flags,
+                n + 1 if budget is None else budget,
+            )
+            consumed = n if cut is None else cut
+            miss_mask = np.frombuffer(miss_flags, dtype=np.uint8)[:consumed]
+            result = KernelResult(
+                miss_mask.astype(bool), consumed, misses, writebacks, prefetches
+            )
+        self._store_sets(sets)
+        return result
+
+    def _tail(
+        self,
+        lines: list[int],
+        pos: np.ndarray,
+        mf: np.ndarray,
+        vic: np.ndarray | None,
+        budget: int | None,
+    ) -> tuple[int, int, int | None]:
+        """Walk leftover leaders ``lines``, at chunk positions ``pos``, as
+        one sequential call (a victim-reporting one when ``vic`` is
+        given), and flag its misses in ``mf`` (and their victims in
+        ``vic``). Returns the misses, the writebacks and the chunk
+        position just past the ``budget``-th miss (None when the budget
+        was not reached)."""
+        part = self._walk_sets(lines, None, budget, vic is not None)
+        miss_at = pos[: part.consumed][part.miss_mask]
+        mf[miss_at] = 1
+        if vic is not None:
+            vic[miss_at] = part.victims
+        stop = int(miss_at[-1]) + 1 if part.misses == budget else None
+        return part.misses, part.writebacks, stop
+
+    def _store_sets(self, sets: _SetLists) -> None:
+        """Write the touched ``sets`` back to the arrays in one batched
+        scatter (head normalised to 0, empty ways cleared), dirty bits
+        included whenever a line of the kernel was or became dirty."""
+        if not sets:
+            return
         assoc = self.assoc
-        tags = self._tags2d.reshape(-1).tolist()
-        head = self._head_np.tolist()
-        cnt = self._cnt_np.tolist()
-        dirty = self._dirty2d.reshape(-1).tolist()
-        lru = self.policy is ReplacementPolicy.LRU
-        random_policy = self.policy is ReplacementPolicy.RANDOM
-        prefetch = self.prefetch_next_line
-        rand_pool = self._rand_pool
-
-        miss_flags = bytearray(n)
-        budget = miss_budget if miss_budget is not None else n + 1
-        misses = 0
-        writebacks = 0
-        prefetches = 0
-        n_dirty = self._n_dirty
-        consumed = n
-        for i in range(n):
-            line = lines[i]
-            s = line & set_mask
-            base = s * assoc
-            bend = base + assoc
-            seg = tags[base:bend]
-            if line in seg:
-                p = base + seg.index(line)
-                if lru:
-                    h = head[s]
-                    mru = base + (h + cnt[s] - 1) % assoc
-                    if p != mru:
-                        k = (p - base - h) % assoc
-                        d = dirty[p]
-                        for j in range(k, cnt[s] - 1):
-                            dst = base + (h + j) % assoc
-                            src = base + (h + j + 1) % assoc
-                            tags[dst] = tags[src]
-                            dirty[dst] = dirty[src]
-                        tags[mru] = line
-                        dirty[mru] = d
-                        p = mru
-                if write_flags is not None and write_flags[i] and not dirty[p]:
-                    dirty[p] = 1
-                    n_dirty += 1
-            else:
-                miss_flags[i] = 1
-                misses += 1
-                h = head[s]
-                c = cnt[s]
-                if c >= assoc:
-                    if random_policy:
-                        r = rand_pool.pop()
-                        if dirty[base + (h + r) % assoc]:
-                            writebacks += 1
-                            n_dirty -= 1
-                        for j in range(r, assoc - 1):
-                            dst = base + (h + j) % assoc
-                            src = base + (h + j + 1) % assoc
-                            tags[dst] = tags[src]
-                            dirty[dst] = dirty[src]
-                        fp = base + (h + assoc - 1) % assoc
-                    else:
-                        fp = base + h  # LRU and FIFO both evict the head
-                        if dirty[fp]:
-                            writebacks += 1
-                            n_dirty -= 1
-                        head[s] = (h + 1) % assoc
-                else:
-                    fp = base + (h + c) % assoc
-                    cnt[s] = c + 1
-                tags[fp] = line
-                if write_flags is not None and write_flags[i]:
-                    dirty[fp] = 1  # write-allocate: filled dirty
-                    n_dirty += 1
-                else:
-                    dirty[fp] = 0
-                if prefetch:
-                    nxt = line + 1
-                    ps = nxt & set_mask
-                    pbase = ps * assoc
-                    if nxt not in tags[pbase : pbase + assoc]:
-                        prefetches += 1
-                        ph = head[ps]
-                        pc = cnt[ps]
-                        if pc >= assoc:
-                            if random_policy:
-                                r = rand_pool.pop()
-                                if dirty[pbase + (ph + r) % assoc]:
-                                    writebacks += 1
-                                    n_dirty -= 1
-                                for j in range(r, assoc - 1):
-                                    dst = pbase + (ph + j) % assoc
-                                    src = pbase + (ph + j + 1) % assoc
-                                    tags[dst] = tags[src]
-                                    dirty[dst] = dirty[src]
-                                pp = pbase + (ph + assoc - 1) % assoc
-                            else:
-                                pp = pbase + ph
-                                if dirty[pp]:
-                                    writebacks += 1
-                                    n_dirty -= 1
-                                head[ps] = (ph + 1) % assoc
-                        else:
-                            pp = pbase + (ph + pc) % assoc
-                            cnt[ps] = pc + 1
-                        tags[pp] = nxt
-                        dirty[pp] = 0
-                budget -= 1
-                if budget == 0:
-                    consumed = i + 1
-                    break
-
-        self._tags2d = np.asarray(tags, dtype=np.int64).reshape(
-            self.n_sets, assoc
-        )
-        self._head_np = np.asarray(head, dtype=np.int64)
-        self._cnt_np = np.asarray(cnt, dtype=np.int64)
-        self._dirty2d = np.asarray(dirty, dtype=np.int64).reshape(
-            self.n_sets, assoc
-        )
-        self._n_dirty = n_dirty
-        miss_mask = np.frombuffer(bytes(miss_flags[:consumed]), dtype=np.uint8).astype(
-            bool
-        )
-        return KernelResult(miss_mask, consumed, misses, writebacks, prefetches)
+        pad = [_EMPTY] * assoc
+        flat: list[int] = []
+        for s in sets.values():
+            flat += s
+            if len(s) < assoc:
+                flat += pad[len(s) :]
+        idx = np.fromiter(sets, dtype=np.int64, count=len(sets))
+        self._tags2d[idx] = np.array(flat, dtype=np.int64).reshape(-1, assoc)
+        self._cnt_np[idx] = [len(s) for s in sets.values()]
+        self._head_np[idx] = 0
+        dirty = sets.dirty
+        if sets.had_dirty or dirty:
+            self._n_dirty += len(dirty) - int(self._dirty2d[idx].sum())
+            self._dirty2d[idx] = np.array(
+                [ln in dirty for ln in flat], dtype=np.int64
+            ).reshape(-1, assoc)
 
     # ------------------------------------------------------------ fast path
 
@@ -459,7 +384,7 @@ class ArrayKernel(SetKernel):
         # certify revisits as re-misses and whole-chunk fills can skip
         # re-sorting.
         grouped = None
-        if n_lead >= self._rounds_min:
+        if n_lead >= _ROUNDS_MIN:
             pre_lines = lines_arr[leader_pos].astype(np.int64)
             pre_sets = pre_lines & self.set_mask
             pre_order = np.argsort(
@@ -502,7 +427,7 @@ class ArrayKernel(SetKernel):
         # -------- vectorised phases: alternate certified-hit runs and
         # guaranteed-miss runs against the live state.
         start = 0  # index into leader_pos of the first unprocessed leader
-        if n_lead >= self._batch_min and grouped is not None:
+        if n_lead >= _BATCH_MIN and grouped is not None:
             unsafe_j = None  # computed lazily, once per chunk
             rounds = 0
             while True:
@@ -618,7 +543,7 @@ class ArrayKernel(SetKernel):
         # depends on global miss order) and without RANDOM eviction (pool
         # pops happen in global miss order); per-set reference order is
         # preserved exactly, and sets are independent.
-        if budget is None and not random_policy and rem >= self._rounds_min:
+        if budget is None and not random_policy and rem >= _ROUNDS_MIN:
             tail_misses, tail_wb = self._tail_rounds(
                 leader_lines[start:],
                 sets_all[start:],
@@ -658,25 +583,13 @@ class ArrayKernel(SetKernel):
                         miss_flags, consumed, misses, writebacks, vic
                     )
 
-        seq_lines = leader_lines[seq].tolist()
-        if vic is not None:
-            seq_pos = leader_pos[seq]
-            miss_idx, evicted, wb = self._walk_sets(seq_lines, budget=budget)
-            miss_at = seq_pos[miss_idx]
-            mf[miss_at] = 1
-            vic[miss_at] = evicted
-            if budget is not None and len(miss_idx) == budget:
-                consumed = int(miss_at[-1]) + 1
-            return _fast_result(
-                miss_flags, consumed, misses + len(miss_idx), writebacks + wb, vic
-            )
-        tail_misses, tail_wb, stop = self._seq_tail(
-            seq_lines, leader_pos[seq].tolist(), miss_flags, budget
+        tail_misses, tail_wb, stop = self._tail(
+            leader_lines[seq].tolist(), leader_pos[seq], mf, vic, budget
         )
         if stop is not None:
             consumed = stop
         return _fast_result(
-            miss_flags, consumed, misses + tail_misses, writebacks + tail_wb, None
+            miss_flags, consumed, misses + tail_misses, writebacks + tail_wb, vic
         )
 
     # --------------------------------------------------- vectorised phases
@@ -737,17 +650,9 @@ class ArrayKernel(SetKernel):
         max_rounds = int(grp_sizes.max())
         if max_rounds > max(64, m >> 4):
             # Pathological single-set pile-up: per-round selections would
-            # be tiny, so the sequential tail is the faster mirror.
-            if vic is None:
-                misses, wb, _ = self._seq_tail(
-                    ll.tolist(), pos.tolist(), mf, None
-                )
-                return misses, wb
-            miss_idx, evicted, wb = self._walk_sets(ll.tolist())
-            miss_at = pos[miss_idx]
-            mf[miss_at] = 1
-            vic[miss_at] = evicted
-            return len(miss_idx), wb
+            # be tiny, so the sequential walk is faster.
+            misses, wb, _ = self._tail(ll.tolist(), pos, mf, vic, None)
+            return misses, wb
         order2 = np.argsort(_radix_key(seq, max_rounds - 1), kind="stable")
         bounds = np.searchsorted(seq[order2], np.arange(max_rounds + 1))
 
@@ -826,149 +731,6 @@ class ArrayKernel(SetKernel):
         self._head_np[rows_u] = 0
         self._n_dirty -= writebacks
         return misses, writebacks
-
-    def _seq_tail(
-        self,
-        lines: list[int],
-        positions: Iterable[int],
-        miss_flags: bytearray | np.ndarray,
-        budget: int | None,
-    ) -> tuple[int, int, int | None]:
-        """Apply ``lines`` one reference at a time, under any policy.
-
-        The one sequential tail of a call without victims: whole calls
-        too short for a vectorised phase, the leaders the fast path
-        leaves over, and the rounds tail's pile-ups. ``positions`` gives
-        each line's index in the chunk, where a miss is flagged in
-        ``miss_flags``. Touched sets are materialised on first touch as
-        small logical-order Python lists (membership over <= assoc boxed
-        ints, pop/append mutations) with dirtiness tracked by line
-        value, the shapes the reference kernel uses, and written back in
-        one batched scatter at the end. Stops after the ``budget``-th
-        miss. Returns ``(misses, writebacks, stop)``: ``stop`` is the
-        chunk index just past the budget-th miss, or None when the
-        budget was not reached.
-        """
-        tags2d = self._tags2d
-        dirty2d = self._dirty2d
-        head_np = self._head_np
-        cnt_np = self._cnt_np
-        set_mask = self.set_mask
-        assoc = self.assoc
-        lru = self.policy is ReplacementPolicy.LRU
-        random_policy = self.policy is ReplacementPolicy.RANDOM
-        rand_pool = self._rand_pool
-        n_dirty = self._n_dirty
-        had_dirty = n_dirty > 0
-        sets: dict[int, list[int]] = {}  # touched set -> its line list
-        dirty_set: set[int] = set()  # dirty line values of touched sets
-        misses = 0
-        writebacks = 0
-        stop = None
-        for line, i in zip(lines, positions):
-            s_idx = line & set_mask
-            s = sets.get(s_idx)
-            if s is None:
-                row = tags2d[s_idx].tolist()
-                h = head_np.item(s_idx)
-                s = row[h:] + row[:h] if h else row[: cnt_np.item(s_idx)]
-                sets[s_idx] = s
-                if had_dirty:
-                    for t_val, d_val in zip(row, dirty2d[s_idx].tolist()):
-                        if d_val:
-                            dirty_set.add(t_val)
-            if line in s:
-                if lru and s[-1] != line:
-                    s.remove(line)
-                    s.append(line)
-                continue
-            miss_flags[i] = 1
-            misses += 1
-            if len(s) >= assoc:
-                victim = s.pop(rand_pool.pop()) if random_policy else s.pop(0)
-                if n_dirty and victim in dirty_set:
-                    writebacks += 1
-                    dirty_set.discard(victim)
-                    n_dirty -= 1
-            s.append(line)
-            if misses == budget:
-                stop = i + 1
-                break
-        self._store_sets(
-            list(sets), list(sets.values()), dirty_set if had_dirty else None
-        )
-        self._n_dirty = n_dirty
-        return misses, writebacks, stop
-
-    def _store_sets(
-        self,
-        touched: list[int],
-        set_lines: list[list[int]],
-        dirty_set: set[int] | None,
-    ) -> None:
-        """Write the logical-order ``set_lines`` of the ``touched`` sets
-        back to the arrays in one batched scatter (head normalised to 0,
-        empty ways cleared and clean). ``dirty_set`` None means no
-        touched line can be dirty."""
-        if not touched:
-            return
-        assoc = self.assoc
-        pad = [_EMPTY] * assoc
-        flat: list[int] = []
-        for s in set_lines:
-            flat += s
-            if len(s) < assoc:
-                flat += pad[len(s) :]
-        idx = np.array(touched)
-        self._tags2d[idx] = np.array(flat, dtype=np.int64).reshape(-1, assoc)
-        self._cnt_np[idx] = [len(s) for s in set_lines]
-        self._head_np[idx] = 0
-        if dirty_set is not None:
-            self._dirty2d[idx] = np.array(
-                [ln in dirty_set for ln in flat], dtype=np.int64
-            ).reshape(-1, assoc)
-
-    def _walk_sets(
-        self,
-        lines: list[int],
-        write_flags: list[bool] | None = None,
-        budget: int | None = None,
-    ) -> tuple[list[int], list[int], int]:
-        """:meth:`SetKernel._victim_walk` over set lists built from the
-        arrays on first touch and written back once at the end."""
-        tags2d = self._tags2d
-        dirty2d = self._dirty2d
-        head_np = self._head_np
-        cnt_np = self._cnt_np
-        had_dirty = self._n_dirty > 0
-        slists: list = [None] * self.n_sets
-        touched: list[int] = []
-        dirty: set[int] = set()
-
-        def materialise(s_idx: int) -> list[int]:
-            row = tags2d[s_idx].tolist()
-            h = int(head_np[s_idx])
-            s = row[h:] + row[:h] if h else row[: int(cnt_np[s_idx])]
-            slists[s_idx] = s
-            touched.append(s_idx)
-            if had_dirty:
-                for t_val, d_val in zip(row, dirty2d[s_idx].tolist()):
-                    if d_val:
-                        dirty.add(t_val)
-            return s
-
-        miss_idx, victims, writebacks = self._victim_walk(
-            lines, slists, dirty, write_flags, budget, materialise
-        )
-        track_dirty = had_dirty or write_flags is not None
-        if track_dirty:
-            self._n_dirty += len(dirty) - int(dirty2d[touched].sum())
-        self._store_sets(
-            touched,
-            [slists[s_idx] for s_idx in touched],
-            dirty if track_dirty else None,
-        )
-        return miss_idx, victims, writebacks
 
     def _promote_run(
         self, arrays: _Arrays, run_sets: np.ndarray, run_lines: np.ndarray
@@ -1089,3 +851,33 @@ class ArrayKernel(SetKernel):
             head_np[fill_sets] + np.maximum(0, c0 + grp_sizes - assoc)
         ) % assoc
         return wb
+
+
+class _SetLists(dict[int, list[int]]):
+    """An array kernel's sets as logical-order line lists, each built on
+    first touch: the container its walks run on.
+
+    A set is built from ``_tags2d``/``_head_np``/``_cnt_np`` by
+    :meth:`ArrayKernel.lines_in_set`, and its dirty lines (from
+    ``_dirty2d``) join :attr:`dirty`, so a walk keeps dirtiness by line
+    value as the reference kernel does. :meth:`ArrayKernel._store_sets`
+    writes the built sets back.
+    """
+
+    def __init__(self, kernel: ArrayKernel) -> None:
+        super().__init__()
+        self.kernel = kernel
+        #: Dirty lines of the sets built so far.
+        self.dirty: set[int] = set()
+        #: Whether the arrays held any dirty line when the walk began.
+        self.had_dirty = kernel._n_dirty > 0
+
+    def __missing__(self, set_idx: int) -> list[int]:
+        kernel = self.kernel
+        s = self[set_idx] = kernel.lines_in_set(set_idx)
+        if self.had_dirty:
+            row = kernel._tags2d[set_idx].tolist()
+            for line, d in zip(row, kernel._dirty2d[set_idx].tolist()):
+                if d:
+                    self.dirty.add(line)
+        return s

@@ -4,9 +4,13 @@ This is the original model the experiments were validated against — set
 state is a list of line numbers per set, ordered oldest-first, so LRU
 promotion and eviction are O(assoc) list operations; associativities in
 practice are 2-16, where a linear scan of a small list beats any fancier
-structure. A ``victims=True`` call runs the shared victim-reporting walk
-(:meth:`SetKernel._victim_walk`) over the same lists instead, leaving the
-main loop free of per-miss reporting work.
+structure. These lists are what the per-reference loops of
+:class:`~repro.cache.kernels.base.SetKernel` step through, so this kernel
+runs them on its own state: :meth:`SetKernel._walk` for a plain call,
+and the victim-reporting :meth:`SetKernel._victim_walk` for a
+``victims=True`` call (the array kernel runs both on lists it builds).
+What this kernel adds is the choice of references the walk steps
+through: its budget windows and its leaders.
 
 A call runs in the windows of
 :func:`~repro.cache.kernels.base.budget_windows` (one window without a
@@ -14,13 +18,13 @@ budget), converting each window's addresses to Python lists as it
 reaches it, so a sampling call offered thousands of references but cut
 after a few hundred converts about what it consumes.
 
-**Leader walk.** The loop steps only through the references that can
+**Leader walk.** The walk steps only through the references that can
 change state. A reference that does not write and repeats the line of
 the reference before it in the same call (a *follower*) is a certain
 hit that changes nothing: the reference before it left the line
 resident and, under LRU, most recent; FIFO and RANDOM do nothing on a
 hit, and a hit never reaches a miss budget or draws from the eviction
-pool. One NumPy comparison per window finds the followers and the loop
+pool. One NumPy comparison per window finds the followers and the walk
 skips them; writers are always walked, so dirty bits and budget cuts
 stay exact. Windows shorter than
 :data:`~repro.cache.kernels.base.FIRST_WINDOW` and prefetching kernels
@@ -37,6 +41,7 @@ RANDOM's eviction pool is sized once from the offered chunk, as there.
 from __future__ import annotations
 
 import copy
+from collections.abc import Iterable
 
 import numpy as np
 
@@ -118,18 +123,8 @@ class ReferenceKernel(SetKernel):
                 miss_budget,
             )
             return victim_result(n, miss_pos, evicted, writebacks, miss_budget)
-        set_mask = self.set_mask
-        assoc = self.assoc
-        sets = self._sets
-        dirty = self._dirty
-        policy = self.policy
-        lru = policy is ReplacementPolicy.LRU
-        random_policy = policy is ReplacementPolicy.RANDOM
-        prefetch = self.prefetch_next_line
-        if random_policy:
+        if self.policy is ReplacementPolicy.RANDOM:
             self._ensure_rand_pool(n)
-        rand_pool = self._rand_pool
-
         lines: list[int] = []
         write_flags: list[bool] | None = None
         miss_flags = bytearray(n)
@@ -137,7 +132,7 @@ class ReferenceKernel(SetKernel):
         misses = 0
         writebacks = 0
         prefetches = 0
-        consumed = n
+        cut: int | None = None
         for lo, hi in budget_windows(n, miss_budget):
             # The lists grow a window at a time, so a call its budget
             # cuts early converts about the references it consumes (the
@@ -145,7 +140,8 @@ class ReferenceKernel(SetKernel):
             window_lines = addrs[lo:hi] >> line_bits
             window = window_lines.tolist()
             flags = writes[lo:hi].tolist() if writes is not None else None
-            if prefetch or hi - lo < FIRST_WINDOW:
+            walk: Iterable[int]
+            if self.prefetch_next_line or hi - lo < FIRST_WINDOW:
                 walk = range(lo, hi)
             else:
                 walk = _leaders(
@@ -160,49 +156,17 @@ class ReferenceKernel(SetKernel):
                 lines += window
                 if write_flags is not None and flags is not None:
                     write_flags += flags
-            for i in walk:
-                line = lines[i]
-                s = sets[line & set_mask]
-                if line in s:
-                    if lru and s[-1] != line:
-                        s.remove(line)
-                        s.append(line)
-                    if write_flags is not None and write_flags[i]:
-                        dirty.add(line)
-                else:
-                    miss_flags[i] = 1
-                    misses += 1
-                    if len(s) >= assoc:
-                        if random_policy:
-                            victim = s.pop(rand_pool.pop())
-                        else:
-                            victim = s.pop(0)  # LRU and FIFO both evict the head
-                        if victim in dirty:
-                            dirty.discard(victim)
-                            writebacks += 1
-                    s.append(line)
-                    if write_flags is not None and write_flags[i]:
-                        dirty.add(line)  # write-allocate: filled dirty
-                    if prefetch:
-                        nxt = line + 1
-                        ps = sets[nxt & set_mask]
-                        if nxt not in ps:
-                            prefetches += 1
-                            if len(ps) >= assoc:
-                                victim = ps.pop(
-                                    rand_pool.pop() if random_policy else 0
-                                )
-                                if victim in dirty:
-                                    dirty.discard(victim)
-                                    writebacks += 1
-                            ps.append(nxt)
-                    budget -= 1
-                    if budget == 0:
-                        consumed = i + 1
-                        break
-            if budget == 0:
+            m, wb, pf, cut = self._walk(
+                lines, walk, self._sets, self._dirty, write_flags, miss_flags, budget
+            )
+            misses += m
+            writebacks += wb
+            prefetches += pf
+            budget -= m
+            if cut is not None:
                 break
 
+        consumed = n if cut is None else cut
         miss_mask = np.frombuffer(bytes(miss_flags[:consumed]), dtype=np.uint8).astype(
             bool
         )

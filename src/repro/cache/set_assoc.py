@@ -5,9 +5,15 @@ single-level set associative cache". The hit/miss engine itself lives in
 :mod:`repro.cache.kernels` behind a pluggable *backend* selector:
 
 * ``"reference"`` — the original list-of-lists kernel, oldest-first per
-  set; its sequential loop defines the semantics;
+  set, whose loop steps only through references that can change state;
 * ``"array"`` — flat-array state with vectorised fast paths for
-  streaming chunks, bit-identical to the reference kernel.
+  streaming chunks;
+* ``"auto"`` — picks one of the two from what it sees of the stream.
+
+All three are bit-identical. The semantics are defined by the plain
+per-reference loop of ``tests/reference_oracle.py``: the differential
+tests hold the reference kernel to it call by call, and the other
+backends to the reference kernel.
 
 Beyond the paper's model, two optional realism features are provided for
 the ablation benches:

@@ -14,9 +14,6 @@ code):
 * :class:`ReachingDefinitions` — the classic gen/kill worklist over the
   CFG. A :class:`Definition` is one binding occurrence of a name
   (assignment, loop target, ``with ... as``, import, parameter, ...).
-* :meth:`ReachingDefinitions.use_defs` — use-def chains: for every
-  ``Name``/``self.attr`` *load* in the region, the set of definitions
-  that may reach it.
 * :class:`TaintAnalysis` — a two-point taint lattice propagated to a
   fixpoint over the def-use graph. Rules provide a *seed* predicate
   (which expressions introduce taint) and the analysis answers whether
@@ -484,28 +481,6 @@ class ReachingDefinitions:
             for definition in self.atom_definitions(candidate):
                 env[definition.name] = frozenset({definition})
         return env
-
-    def use_defs(self) -> dict[int, tuple[ast.AST, frozenset[Definition]]]:
-        """Use-def chains: ``id(load node) -> (node, reaching defs)``.
-
-        Covers ``Name`` loads and ``self.attr`` loads inside every
-        reachable atom's value expressions.
-        """
-        chains: dict[int, tuple[ast.AST, frozenset[Definition]]] = {}
-        for bid, atom in self.cfg.atoms():
-            env = self.defs_before(bid, atom)
-            for expr in _use_exprs(atom):
-                for sub in ast.walk(expr):
-                    key: str | None = None
-                    if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
-                        key = sub.id
-                    elif isinstance(sub, ast.Attribute) and isinstance(
-                        sub.ctx, ast.Load
-                    ):
-                        key = _target_key(sub)
-                    if key is not None and key in env:
-                        chains[id(sub)] = (sub, env[key])
-        return chains
 
 
 # ------------------------------------------------------------------ taint

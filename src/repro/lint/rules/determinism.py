@@ -29,6 +29,7 @@ import ast
 from collections.abc import Iterable, Iterator
 from typing import ClassVar
 
+from repro.lint.dataflow import _target_key
 from repro.lint.framework import (
     ParsedModule,
     Rule,
@@ -203,19 +204,6 @@ def _is_set_expr(node: ast.AST) -> bool:
         and isinstance(node.func, ast.Name)
         and node.func.id in ("set", "frozenset")
     )
-
-
-def _target_key(node: ast.AST) -> str | None:
-    """A trackable key for assignment targets: `name` or `self.attr`."""
-    if isinstance(node, ast.Name):
-        return node.id
-    if (
-        isinstance(node, ast.Attribute)
-        and isinstance(node.value, ast.Name)
-        and node.value.id == "self"
-    ):
-        return f"self.{node.attr}"
-    return None
 
 
 def _ann_is_set(annotation: ast.AST) -> bool:

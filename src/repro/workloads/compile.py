@@ -141,7 +141,7 @@ class CompiledStream:
         return iter(self.blocks)
 
     def fused_groups(
-        self, chunk_invariant: bool, fuse_target: int = FUSE_TARGET_REFS
+        self, chunk_invariant: bool
     ) -> Iterator[tuple[np.ndarray, np.ndarray | None, list[tuple[int, float, int]]]]:
         """Yield ``(addrs, writes, pieces)`` groups for the bulk path.
 
@@ -151,9 +151,9 @@ class CompiledStream:
         (a RANDOM-replacement level exists, whose eviction-pool refills
         observe chunk lengths) every block is its own group and the
         caller must additionally slice it in ``chunk_size`` pieces; when
-        True, consecutive blocks fuse up to ``fuse_target`` references —
-        groups split where write-mask presence flips so read-only blocks
-        stay on the kernels' fast path.
+        True, consecutive blocks fuse up to :data:`FUSE_TARGET_REFS`
+        references — groups split where write-mask presence flips so
+        read-only blocks stay on the kernels' fast path.
         """
         if not chunk_invariant:
             for b in self.blocks:
@@ -163,7 +163,7 @@ class CompiledStream:
         size = 0
         for b in self.blocks:
             if group and (
-                size >= fuse_target
+                size >= FUSE_TARGET_REFS
                 or (group[0].writes is None) != (b.writes is None)
             ):
                 yield _emit(group)

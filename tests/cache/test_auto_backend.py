@@ -271,8 +271,9 @@ class TestBudgetCutTrigger:
 
 class TestMirrorCallsRunOnReference:
     """On a write mask without ``victims``, and on every call of a
-    prefetching kernel, the array kernel can only mirror the reference
-    loop; ``auto`` runs such calls on the reference kernel outright."""
+    prefetching kernel, the array kernel can only walk every reference
+    over set lists it builds and writes back per call; ``auto`` runs
+    such calls on the reference kernel outright."""
 
     @pytest.mark.parametrize("budget", [None, 20], ids=["unbudgeted", "budgeted"])
     @pytest.mark.parametrize("policy", POLICIES, ids=lambda p: p.value)
@@ -281,9 +282,14 @@ class TestMirrorCallsRunOnReference:
         auto = kernels["auto"]
         array = auto._inner
         stream = _uniform(200_000, n_lines=2048)
-        with mock.patch.object(
-            array, "_access_exact", side_effect=AssertionError("mirror ran")
-        ):
+        walk_sets = array._walk_sets
+
+        def read_only_walk(lines, write_flags, *args):
+            # The fast path's leftovers walk too; a write mask must not.
+            assert write_flags is None, "write-mask call ran on the array kernel"
+            return walk_sets(lines, write_flags, *args)
+
+        with mock.patch.object(array, "_walk_sets", side_effect=read_only_walk):
             calls = _sampler_calls(kernels, stream, budget, 12, writes=True)
             for k, _ in enumerate(calls):
                 assert auto._inner.name == ("reference" if k >= 2 else "array")

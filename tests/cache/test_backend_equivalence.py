@@ -271,7 +271,10 @@ def victim_paths(monkeypatch):
         monkeypatch.setattr(ArrayKernel, name, wrapper)
 
     def walk_path(args, kwargs):
-        if len(args) > 1 and args[1] is not None:
+        _, write_flags, _, victims = args
+        if not victims:
+            return None
+        if write_flags is not None:
             return "write-mask path"
         if in_rounds and in_rounds[-1] is not None:
             return "rounds-tail fallback"

@@ -129,6 +129,14 @@ def test_array_matches_reference(
     for set_idx in range(cfg.n_sets):
         assert ref.lines_in_set(set_idx) == arr.lines_in_set(set_idx)
     assert ref.dirty_line_count() == arr.dirty_line_count()
+    # What the array kernel's set lists write back: dirty bits on the
+    # right lines, a dirty count that matches them, the eviction pool.
+    rk, ak = ref._kernel, arr._kernel
+    dirty_bits = ak._dirty2d != 0
+    assert sorted(ak._tags2d[dirty_bits].tolist()) == sorted(rk._dirty)
+    assert ak._n_dirty == int(dirty_bits.sum())
+    assert ak._rand_pool == rk._rand_pool
+    assert ak._rand_draws == rk._rand_draws
 
 
 @pytest.mark.parametrize("backend", KERNEL_BACKENDS)

@@ -1,18 +1,23 @@
-"""Edge cases of the reference kernel's leader walk, against the plain loop.
+"""Edge cases of the shared per-reference walk, against the plain loop.
 
 The reference kernel steps only through the references that can change
 state: writers, and references whose line differs from the one before
-them in the call. Every test here runs the production kernel and the
-plain per-reference loop of :mod:`tests.reference_oracle` on the same
-calls and asserts the same result and the same full state after each
-call: sets in order, dirty lines, eviction pool, draw count and RNG.
+them in the call. The array kernel runs the same walk over set lists it
+builds from its arrays on first touch and writes back at the end of the
+call. Every test here runs a production kernel and the plain
+per-reference loop of :mod:`tests.reference_oracle` on the same calls
+and asserts the same result and the same full state after each call:
+sets in order, dirty lines, eviction pool, draw count and RNG.
 """
+
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from repro.cache.kernels import ArrayKernel, make_kernel
 from repro.cache.kernels.base import FIRST_WINDOW, budget_windows
-from repro.cache.kernels.reference import ReferenceKernel, _leaders
+from repro.cache.kernels.reference import _leaders
 from repro.cache.policies import ReplacementPolicy
 from tests.reference_oracle import (
     PlainReferenceKernel,
@@ -22,15 +27,32 @@ from tests.reference_oracle import (
 
 POLICIES = list(ReplacementPolicy)
 LRU = ReplacementPolicy.LRU
+FIFO = ReplacementPolicy.FIFO
 RANDOM = ReplacementPolicy.RANDOM
 
 #: 16 sets of four 64-byte lines.
 GEOMETRY = dict(n_sets=16, assoc=4, line_bits=6)
 
 
-def _pair(policy=LRU, seed=7, **geometry):
+def _pair(policy=LRU, seed=7, backend="reference", **geometry):
     kwargs = {**GEOMETRY, **geometry, "policy": policy, "seed": seed}
-    return ReferenceKernel(**kwargs), PlainReferenceKernel(**kwargs)
+    return make_kernel(backend, **kwargs), PlainReferenceKernel(**kwargs)
+
+
+def _state(kernel):
+    """:func:`kernel_state` of a list-state kernel, or the same view of
+    the array kernel's arrays (whose dirty count must match its bits)."""
+    if not isinstance(kernel, ArrayKernel):
+        return kernel_state(kernel)
+    dirty_bits = kernel._dirty2d != 0
+    assert kernel._n_dirty == int(dirty_bits.sum())
+    return (
+        [kernel.lines_in_set(s_idx) for s_idx in range(kernel.n_sets)],
+        set(kernel._tags2d[dirty_bits].tolist()),
+        kernel._rand_pool,
+        kernel._rand_draws,
+        kernel._rng.bit_generator.state,
+    )
 
 
 def _call(walk, plain, lines, budget=None, writes=None):
@@ -40,7 +62,7 @@ def _call(walk, plain, lines, budget=None, writes=None):
     got = walk.access(addrs, budget, mask)
     want = plain.access(addrs, budget, mask)
     assert_same_result(got, want)
-    assert kernel_state(walk) == kernel_state(plain)
+    assert _state(walk) == kernel_state(plain)
     return got
 
 
@@ -174,3 +196,65 @@ def test_prefetching_one_set_cache(policy, assoc):
     elif policy is LRU:
         assert walk.lines_in_set(0) == [598, 597]  # the follower promoted
     _call(walk, plain, lines, budget=7)
+
+
+# ------------------------------------------- the array kernel's set lists
+
+
+@pytest.mark.parametrize("policy", POLICIES, ids=lambda p: p.value)
+def test_array_prefetch_fills_a_set_no_reference_touched(policy):
+    array, plain = _pair(policy, backend="array", prefetch_next_line=True)
+    _call(array, plain, [1 + 16 * k for k in range(4)], writes=[True] * 4)
+    # Every reference of the next call maps to set 0, and each miss
+    # prefetches its next line into set 1, full of dirty lines: set 1
+    # is built for the prefetch fills alone, and written back.
+    got = _call(array, plain, [16 * k for k in range(4, 8)])
+    assert got.prefetches == 4
+    assert got.writebacks >= 1
+
+
+@pytest.mark.parametrize("policy", [LRU, FIFO], ids=lambda p: p.value)
+def test_array_write_hit_and_miss_in_a_full_set_off_head_zero(policy):
+    array, plain = _pair(policy, backend="array")
+    # 80 distinct lines, five a set, are one guaranteed-miss run that
+    # wraps every set once (RANDOM never batches misses, so its heads
+    # stay at 0). Set 1 holds 17, 33, 49, 65 from physical slot 1 on.
+    _call(array, plain, list(range(80)))
+    assert array._head_np[1] == 1
+    got = _call(array, plain, [33, 81], writes=[True, True])
+    assert got.misses == 1
+    # Four new lines of set 1 evict both lines the call made dirty.
+    got = _call(array, plain, [97, 113, 129, 145])
+    assert got.writebacks == 2
+
+
+@pytest.mark.parametrize("policy", POLICIES, ids=lambda p: p.value)
+def test_array_tail_writes_back_a_dirty_line_of_a_set_it_built(policy):
+    array, plain = _pair(policy, backend="array")
+    _call(array, plain, [0, 1, 2, 3])
+    _call(array, plain, [5 + 16 * k for k in range(4)], writes=[True] * 4)
+    # 40 references on 20 leaders: too few for a vectorised
+    # phase, and a budget (never reached) keeps them from the rounds
+    # tail, so the sequential tail builds set 5 and evicts from it.
+    lines = _hot_run(32, seed=8) + [69, 85, 101, 117] + _hot_run(4, seed=9)
+    with mock.patch.object(array, "_tail", wraps=array._tail) as tail:
+        got = _call(array, plain, lines, budget=50)
+    assert tail.called
+    assert got.misses == 4
+    assert got.writebacks >= 1
+
+
+@pytest.mark.parametrize("policy", POLICIES, ids=lambda p: p.value)
+def test_array_budget_cut_inside_the_tail_maps_back_to_the_chunk(policy):
+    array, plain = _pair(policy, backend="array")
+    _call(array, plain, [0, 1, 2, 3])
+    lines = _hot_run(40, seed=10)
+    lines[20:22] = [100, 100]  # a miss and its follower
+    lines[30] = 200  # the budget's second miss
+    # The tail walks the 17 leaders only, so the cut, just past leader
+    # 13, must be mapped back to chunk position 31.
+    with mock.patch.object(array, "_tail", wraps=array._tail) as tail:
+        got = _call(array, plain, lines, budget=2)
+    assert tail.called
+    assert got.consumed == 31
+    _call(array, plain, lines[31:], budget=2)

@@ -139,6 +139,14 @@ class TestReachingDefinitions:
         params = [a.arg for a in func.args.args]
         return func, cfg, ReachingDefinitions(cfg, params=params)
 
+    @staticmethod
+    def _defs_at_return(cfg, rd):
+        """The definitions reaching the names the ``return`` reads."""
+        ((bid, ret),) = [
+            (bid, atom) for bid, atom in cfg.atoms() if isinstance(atom, ast.Return)
+        ]
+        return rd.defs_before(bid, ret)
+
     def test_param_reaches_use(self):
         func, cfg, rd = self._analysis(
             """
@@ -146,12 +154,7 @@ class TestReachingDefinitions:
                 return addr
             """
         )
-        chains = rd.use_defs()
-        (use, defs), = [
-            entry
-            for entry in chains.values()
-            if isinstance(entry[0], ast.Name) and entry[0].id == "addr"
-        ]
+        defs = self._defs_at_return(cfg, rd)["addr"]
         assert defs == frozenset({rd.param_defs["addr"]})
 
     def test_redefinition_kills_earlier_def(self):
@@ -163,10 +166,7 @@ class TestReachingDefinitions:
                 return x
             """
         )
-        chains = rd.use_defs()
-        (_, defs), = [
-            e for e in chains.values() if getattr(e[0], "id", None) == "x"
-        ]
+        defs = self._defs_at_return(cfg, rd)["x"]
         assert len(defs) == 1
         (definition,) = defs
         assert definition.node.value.value == 2  # the second assignment
@@ -182,10 +182,7 @@ class TestReachingDefinitions:
                 return x
             """
         )
-        chains = rd.use_defs()
-        (_, defs), = [
-            e for e in chains.values() if getattr(e[0], "id", None) == "x"
-        ]
+        defs = self._defs_at_return(cfg, rd)["x"]
         assert len(defs) == 2  # both arms reach the join
 
 
