@@ -24,12 +24,12 @@ import enum
 import hashlib
 import json
 import os
-import pickle
-import tempfile
 import time
 from dataclasses import dataclass, field
 from typing import Any
 from pathlib import Path
+
+from repro.util.pickle_io import dump_atomic, load_or_discard
 
 __all__ = [
     "ResultCache",
@@ -164,29 +164,11 @@ class ResultCache:
 
     def get(self, key: str) -> Any:
         """The stored value for ``key``, or None on miss/corruption."""
-        path = self.path_for(key)
-        try:
-            with path.open("rb") as fh:
-                return pickle.load(fh)
-        except FileNotFoundError:
-            return None
-        except Exception:
-            path.unlink(missing_ok=True)
-            return None
+        return load_or_discard(self.path_for(key))
 
     def put(self, key: str, value: object) -> Path:
         """Store ``value`` under ``key`` (atomic rename, last writer wins)."""
-        path = self.path_for(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                pickle.dump(value, fh, protocol=pickle.HIGHEST_PROTOCOL)
-            os.replace(tmp, path)
-        except BaseException:
-            Path(tmp).unlink(missing_ok=True)
-            raise
-        return path
+        return dump_atomic(self.path_for(key), value)
 
     def __contains__(self, key: str) -> bool:
         return self.path_for(key).exists()

@@ -18,16 +18,22 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import io
 import os
 import pickle
-import tempfile
 import time
+import types
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from pathlib import Path
 
+import numpy as np
+
 from repro.cache import CacheConfig
+from repro.cache.base import CacheModel
+from repro.cache.components import SharedCacheLevel
+from repro.cache.kernels.base import SetKernel
 from repro.core.adaptive import AdaptiveSamplingProfiler
 from repro.core.sampling import SamplingProfiler
 from repro.core.search import NWaySearch
@@ -39,6 +45,7 @@ from repro.experiments.cache_store import (
     stable_hash,
 )
 from repro.hpm.interrupts import CostModel
+from repro.hpm.monitor import PerformanceMonitor
 from repro.sim.engine import RunResult, Simulator
 from repro.sim.session import (
     SNAPSHOT_VERSION,
@@ -46,6 +53,7 @@ from repro.sim.session import (
     SessionSnapshot,
     SimulationSession,
 )
+from repro.util.pickle_io import dump_atomic, load_or_discard
 from repro.workloads.compile import StreamCompileError, compiled_stream_for
 from repro.workloads.registry import make_workload
 
@@ -359,29 +367,14 @@ class CheckpointPolicy:
             "snapshot_version": SNAPSHOT_VERSION,
             "snapshot": snapshot,
         }
-        path = self.path_for(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                pickle.dump(payload, fh, protocol=pickle.HIGHEST_PROTOCOL)
-            os.replace(tmp, path)
-        except BaseException:
-            Path(tmp).unlink(missing_ok=True)
-            raise
-        return path
+        return dump_atomic(self.path_for(key), payload)
 
     def load(self, key: str) -> SessionSnapshot | None:
         """The resumable snapshot for ``key``, or None (stale/corrupt
         files are deleted so they are only ever probed once)."""
         path = self.path_for(key)
-        try:
-            with path.open("rb") as fh:
-                payload = pickle.load(fh)
-        except FileNotFoundError:
-            return None
-        except Exception:
-            path.unlink(missing_ok=True)
+        payload = load_or_discard(path)
+        if payload is None:
             return None
         if (
             not isinstance(payload, dict)
@@ -414,6 +407,54 @@ def strip_result(result: RunResult) -> RunResult:
     return stripped
 
 
+#: Classes whose instances carry live per-process state: an RNG stream,
+#: cache contents, a running simulation. A cell builds its own from its
+#: spec and seed; one handed in would run on from copied state that the
+#: result-cache key cannot see.
+_LIVE_STATE = (
+    np.random.Generator,
+    np.random.RandomState,
+    np.random.BitGenerator,
+    CacheModel,
+    SharedCacheLevel,
+    SetKernel,
+    Simulator,
+    SimulationSession,
+    MultiCoreSession,
+    PerformanceMonitor,
+)
+
+
+class _LiveStatePickler(pickle.Pickler):
+    """Pickles plain data; raises on the first live-state object."""
+
+    def reducer_override(self, obj):
+        if isinstance(obj, _LIVE_STATE):
+            cls = type(obj)
+            raise SimulationError(
+                f"a grid cell's inputs hold a live {cls.__module__}."
+                f"{cls.__qualname__}; a cell must be a pure function of its "
+                "spec and seed, so pass the seed or configuration and let "
+                "the cell build the object"
+            )
+        if isinstance(obj, (type, types.FunctionType)) and "<" in obj.__qualname__:
+            # A class or function defined in a function (an inline run's
+            # checkpoint hook, say), or a lambda, has no import path to
+            # pickle by. These bytes are never loaded, so its name will do.
+            return str, (obj.__qualname__,)
+        return NotImplemented
+
+
+def _refuse_live_state(*inputs: object) -> None:
+    """Raise SimulationError if ``inputs`` hold a live-state object
+    anywhere, however deeply nested in spec fields and containers.
+
+    Pickling walks every object a worker would receive, so this sees
+    what crosses the pool's fork boundary and what an inline run is
+    handed alike; the pickled bytes are thrown away."""
+    _LiveStatePickler(io.BytesIO(), protocol=pickle.HIGHEST_PROTOCOL).dump(inputs)
+
+
 def execute_task(
     spec: TaskSpec,
     checkpoint: CheckpointPolicy | None = None,
@@ -434,7 +475,14 @@ def execute_task(
     :class:`~repro.sim.engine.Simulator` — the same flow, one aggregate
     result with per-core results (and contention profiles) in
     ``result.cores``. Only the way the session is opened differs.
+
+    Every cell runs through here: pool workers, the runners' inline
+    loops and :meth:`~repro.experiments.runner.ExperimentRunner.run_task`.
+    So this is where a cell whose inputs hold a live RNG, cache, monitor,
+    kernel, simulator or session is refused with a SimulationError that
+    names the class, before anything runs.
     """
+    _refuse_live_state(spec, checkpoint, stream_cache_dir)
     open_session = _open_multicore if spec.sim.multicore is not None else _open_single
     key = spec.key() if checkpoint is not None else None
     snapshot = checkpoint.load(key) if checkpoint is not None else None

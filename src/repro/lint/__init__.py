@@ -10,13 +10,13 @@ statically-checkable half of each, before anything runs::
     python -m repro.lint --format json src/
     python -m repro.lint --list-rules
 
-Rule families: RPL1xx determinism, RPL7xx process/fork safety (backed
-by the :mod:`repro.lint.dataflow` engine). Cache keys, stream
-fingerprints, kernel parity, stats purity and snapshot payloads are
-guarded at run time instead (DESIGN.md section 7). Suppress a
-deliberate exception with ``# reprolint: disable=RPLxxx -- reason`` on
-the line (or ``# reprolint: disable-file=RPLxxx -- reason`` for a whole
-file) — see DESIGN.md section 7 for the policy.
+Rule families: RPL1xx determinism, RPL7xx process/fork safety. Cache
+keys, stream fingerprints, kernel parity, stats purity, snapshot
+payloads and live objects in a grid cell's inputs are guarded at run
+time instead (DESIGN.md section 7). Suppress a deliberate exception
+with ``# reprolint: disable=RPLxxx -- reason`` on the line (or
+``# reprolint: disable-file=RPLxxx -- reason`` for a whole file) — see
+DESIGN.md section 7 for the policy.
 """
 
 from repro.lint.framework import (

@@ -29,7 +29,6 @@ import ast
 from collections.abc import Iterable, Iterator
 from typing import ClassVar
 
-from repro.lint.dataflow import _target_key
 from repro.lint.framework import (
     ParsedModule,
     Rule,
@@ -194,6 +193,19 @@ class WallClockRule(Rule):
                         self.code,
                         f"wall-clock `{name}()` in a result path",
                     )
+
+
+def _target_key(node: ast.AST) -> str | None:
+    """Trackable key for a binding/use site: ``name`` or ``self.attr``."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if (
+        isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "self"
+    ):
+        return f"self.{node.attr}"
+    return None
 
 
 def _is_set_expr(node: ast.AST) -> bool:

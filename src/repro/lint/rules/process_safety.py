@@ -12,11 +12,13 @@ worker touches it after the fork:
   between parent and workers; so does the hidden memo of an
   ``lru_cache``-decorated function in the experiments package — the
   parent's warm cache is fork-copied and silently goes stale.
-* ``RPL702`` — live RNG/cache/simulator objects crossing the fork
-  boundary: submitting a lambda/closure, or passing an argument whose
-  reaching definitions bind ``make_rng(...)`` / ``make_cache(...)`` /
-  ``Simulator(...)`` and friends. Pickling a live Generator forks its
-  stream; workers must rebuild from specs and seeds.
+* ``RPL702`` — a closure crossing the fork boundary: a lambda or a
+  locally defined function submitted to a pool carries whatever live
+  state it captured. A live RNG, cache or simulator object in a grid
+  cell's inputs, whether a direct argument or nested in a task spec, is
+  refused at run time instead: ``execute_task`` pickles each cell's
+  inputs through a pickler that rejects it
+  (``experiments/parallel.py``, ``_refuse_live_state``).
 * ``RPL703`` — ``os.environ`` / ``os.getenv`` reads in result-scoped
   packages: environment state is inherited per process and invisible to
   the result-cache key, so two workers can compute different "cached"
@@ -37,7 +39,6 @@ from __future__ import annotations
 import ast
 from collections.abc import Iterable, Iterator
 
-from repro.lint.dataflow import TaintAnalysis
 from repro.lint.framework import (
     ParsedModule,
     Rule,
@@ -52,14 +53,6 @@ from repro.lint.rules.determinism import RESULT_SCOPE
 _MUTATORS = {
     "append", "add", "update", "setdefault", "extend", "insert",
     "pop", "popitem", "clear", "remove", "discard",
-}
-
-#: Constructors whose instances hold live per-process state that must
-#: not be pickled across the fork boundary (rebuild from spec + seed).
-_LIVE_STATE_CTORS = {
-    "make_rng", "spawn_rng", "default_rng", "Generator", "RandomState",
-    "make_cache", "SetAssociativeCache", "TwoLevelCache", "Simulator",
-    "SimulationSession", "PerformanceMonitor",
 }
 
 
@@ -233,19 +226,18 @@ class _ModuleModel:
 class _ProcessRule(Rule):
     """Base: builds one :class:`_ModuleModel` per module, shared via cache."""
 
-    _models: dict[int, _ModuleModel] = {}
+    #: The last module modelled, with its model. The slot holds the
+    #: module itself, not its ``id()``: a freed module's address can be
+    #: reused by the next one parsed, which must not inherit its model.
+    #: One entry is enough because run_lint visits files sequentially.
+    _last: tuple[ParsedModule, _ModuleModel] | None = None
 
     @classmethod
     def model(cls, module: ParsedModule) -> _ModuleModel:
-        key = id(module)
-        found = _ProcessRule._models.get(key)
-        if found is None:
-            found = _ModuleModel(module)
-            # Tiny cache, keyed by object identity; one entry per module
-            # is enough because run_lint visits files sequentially.
-            _ProcessRule._models.clear()
-            _ProcessRule._models[key] = found
-        return found
+        last = _ProcessRule._last
+        if last is None or last[0] is not module:
+            last = _ProcessRule._last = (module, _ModuleModel(module))
+        return last[1]
 
 
 @register
@@ -301,18 +293,11 @@ class ForkCaptureRule(_ProcessRule):
         model = self.model(module)
         if not model.submissions:
             return
-        # Map each submission to its enclosing function for dataflow.
+        # Map each submission to its enclosing function.
         for func in _functions(module.tree):
-            local_calls = [
-                (call, target)
-                for call, target in model.submissions
-                if self._encloses(func, call)
-            ]
-            if not local_calls:
-                continue
-            analysis: TaintAnalysis | None = None
-            env_by_atom = None
-            for call, target in local_calls:
+            for call, target in model.submissions:
+                if not self._encloses(func, call):
+                    continue
                 if isinstance(target, ast.Lambda):
                     yield module.violation(
                         call,
@@ -322,8 +307,7 @@ class ForkCaptureRule(_ProcessRule):
                         "that pickling silently snapshots; submit a "
                         "module-level function of plain data",
                     )
-                    continue
-                if isinstance(target, ast.Name) and self._is_local_def(
+                elif isinstance(target, ast.Name) and self._is_local_def(
                     func, target.id
                 ):
                     yield module.violation(
@@ -333,32 +317,6 @@ class ForkCaptureRule(_ProcessRule):
                         "to a process pool: its closure crosses the fork "
                         "boundary; submit a module-level function",
                     )
-                if analysis is None:
-                    analysis = TaintAnalysis(func, self._live_seed)
-                    env_by_atom = list(analysis.iter_atoms_with_env())
-                env = self._env_for(env_by_atom, call)
-                if env is None:
-                    continue
-                for arg in [*call.args[1:], *[kw.value for kw in call.keywords]]:
-                    if analysis.expr_tainted(arg, env):
-                        yield module.violation(
-                            arg,
-                            self.code,
-                            f"argument `{ast.unparse(arg)}` carries a live "
-                            "RNG/cache/simulator object into a pool worker; "
-                            "pickling snapshots its state at submit time — "
-                            "pass the spec/seed and rebuild in the worker",
-                        )
-
-    @staticmethod
-    def _live_seed(node: ast.AST) -> bool:
-        if isinstance(node, ast.Call):
-            name = dotted_name(node.func)
-            return (
-                name is not None
-                and name.split(".")[-1] in _LIVE_STATE_CTORS
-            )
-        return False
 
     @staticmethod
     def _encloses(func: ast.FunctionDef, node: ast.AST) -> bool:
@@ -374,13 +332,6 @@ class ForkCaptureRule(_ProcessRule):
             ):
                 return True
         return False
-
-    @staticmethod
-    def _env_for(env_by_atom, call: ast.AST):
-        for atom, env in env_by_atom:
-            if any(sub is call for sub in ast.walk(atom)):
-                return env
-        return None
 
 
 @register

@@ -47,7 +47,6 @@ from __future__ import annotations
 
 import os
 import pickle
-import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
@@ -65,6 +64,7 @@ from repro.sim.clock import VirtualClock
 from repro.sim.events import RunStats
 from repro.sim.instrumentation import HandlerResult, InstrumentationTool, ToolContext
 from repro.sim.observers import ChunkEvent, InterruptEvent, SessionObserver
+from repro.util.pickle_io import dump_atomic
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.blocks import ReferenceBlock
@@ -212,17 +212,7 @@ class SessionSnapshot:
 
     def save(self, path: str | os.PathLike[str]) -> Path:
         """Write the snapshot to ``path`` atomically (rename-into-place)."""
-        target = Path(path)
-        target.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=target.parent, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                pickle.dump(self, fh, protocol=pickle.HIGHEST_PROTOCOL)
-            os.replace(tmp, target)
-        except BaseException:
-            Path(tmp).unlink(missing_ok=True)
-            raise
-        return target
+        return dump_atomic(Path(path), self)
 
     @staticmethod
     def load(

@@ -6,13 +6,15 @@ re-running the same grid against a persistent cache directory must be
 served from disk.
 """
 
+import dataclasses
 import multiprocessing
 import os
+import re
 from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
-from repro.cache import CacheConfig
+from repro.cache import CacheConfig, make_cache
 from repro.errors import SimulationError
 from repro.experiments.cache_store import Manifest, ResultCache
 from repro.experiments.parallel import (
@@ -24,6 +26,7 @@ from repro.experiments.parallel import (
     expand_grid,
 )
 from repro.experiments.runner import ExperimentRunner, RunnerConfig
+from repro.util.rng import make_rng
 from repro.workloads.registry import EXTRA_WORKLOADS
 
 SIM = SimSpec(cache=CacheConfig(size=32 * 1024, assoc=2))
@@ -211,6 +214,75 @@ class TestInlineFailures:
         assert good.key() not in message
         assert cache.get(good.key()) is not None
         assert cache.get(self.BAD.key()) is None
+
+
+def _guard_message(live: object) -> str:
+    """How the live-state guard names the class of ``live``."""
+    cls = type(live)
+    return f"a grid cell's inputs hold a live {cls.__module__}.{cls.__qualname__}; "
+
+
+class TestLiveStateGuard:
+    """``execute_task`` refuses a cell whose inputs hold a live RNG or
+    cache, on every path a cell runs, before the cell runs; the runners
+    name the refused cell like any failed one and cache nothing for it.
+    Such a cell's key embeds the object's address (``canonical`` falls
+    back to ``repr``), so two identical specs would key apart."""
+
+    def _cell(self, label, **fields):
+        kwargs = {"spec": STREAMS, "rounds": 2, "lines_per_round": 500}
+        cell = TaskSpec("synthetic-streams", kwargs, seed=7, sim=SIM)
+        return dataclasses.replace(cell, label=label, **fields)
+
+    def _refused(self, tmp_path, specs, live, **runner):
+        """Run ``specs``; return the cache and the one refused cell's
+        message, checked to chain to the guard's error."""
+        cache = ResultCache(tmp_path / "cache")
+        with pytest.raises(SimulationError) as info:
+            ParallelRunner(cache=cache, **runner).run(specs)
+        cause = info.value.__cause__
+        assert isinstance(cause, SimulationError)
+        assert str(cause).startswith(_guard_message(live))
+        return cache, str(info.value)
+
+    def test_generator_tool_seed_is_refused_in_a_pool_worker(self, tmp_path):
+        rng = make_rng(7)
+        live = self._cell("live-seed", tool=ToolSpec(
+            "sampling", {"period": 50, "schedule": "random", "seed": rng}))
+        good = self._cell("good")
+        cache, message = self._refused(tmp_path, [good, live], rng, jobs=2)
+        assert message.startswith(
+            f"1 of 2 cells failed: 'live-seed' (key {live.key()}) "
+            "raised SimulationError: "
+        )
+        assert cache.get(live.key()) is None
+        assert cache.get(good.key()) is not None
+
+    def test_generator_in_workload_kwargs_is_refused_inline(self, tmp_path):
+        rng = make_rng(7)
+        live = self._cell("live-kwargs")
+        live.workload_kwargs["spec"] = {"a": (64 * 1024, rng)}
+        cache, message = self._refused(tmp_path, [live], rng, jobs=1)
+        assert message.startswith(f"1 of 1 cells failed: 'live-kwargs' (key {live.key()})")
+        assert len(cache) == 0
+
+    def test_generator_as_the_checkpoint_policy_is_refused(self, tmp_path):
+        rng = make_rng(7)
+        cell = self._cell("cell")
+        cache, message = self._refused(tmp_path, [cell], rng, jobs=1, checkpoints=rng)
+        assert message.startswith(f"1 of 1 cells failed: 'cell' (key {cell.key()})")
+        assert len(cache) == 0
+
+    def test_cache_model_in_a_spec_field_is_refused_by_run_task(self, tmp_path):
+        model = make_cache(CacheConfig(size=32 * 1024, assoc=2))
+        live = self._cell("live-cache", sim=dataclasses.replace(SIM, cache=model))
+        runner = ExperimentRunner(
+            RunnerConfig(seed=42), quick=True, jobs=1, cache_dir=tmp_path / "results"
+        )
+        with pytest.raises(SimulationError, match=re.escape(_guard_message(model))):
+            runner.run_task(live)
+        assert len(runner.result_cache) == 0
+        assert runner.manifest.records == []
 
 
 class TestRunnerIntegration:

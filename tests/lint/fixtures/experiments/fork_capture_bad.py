@@ -1,14 +1,12 @@
-"""RPL702 bad fixture: live state captured into pool submissions.
+"""RPL702 bad fixture: closures captured into pool submissions.
 
-Three distinct capture hazards: a lambda (unpicklable under spawn),
-a function defined inside the submitting scope (same), and a live RNG
-handle passed as an argument (fork-copies the generator state so every
-worker replays the identical stream).
+Two distinct capture hazards: a lambda (unpicklable under spawn) and a
+function defined inside the submitting scope (same). A live RNG passed
+as an argument is refused at run time, by the grid-cell guard in
+``repro.experiments.parallel``, not by this rule.
 """
 
 from concurrent.futures import ProcessPoolExecutor
-
-from repro.util.rng import make_rng
 
 
 def run_lambda(values):
@@ -23,15 +21,4 @@ def run_local(values):
 
     with ProcessPoolExecutor() as pool:
         futures = [pool.submit(helper, v) for v in values]  # RPL702
-        return [f.result() for f in futures]
-
-
-def _draw(rng, n):
-    return rng.integers(0, 10, size=n)
-
-
-def run_shared_rng(n_tasks):
-    rng = make_rng(7)
-    with ProcessPoolExecutor() as pool:
-        futures = [pool.submit(_draw, rng, 4) for _ in range(n_tasks)]  # RPL702
         return [f.result() for f in futures]

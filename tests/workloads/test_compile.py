@@ -1,10 +1,12 @@
 """Stream compilation: fingerprints, caching, freezing and safety gates."""
 
 import inspect
+import pickle
 
 import numpy as np
 import pytest
 
+from repro.experiments.cache_store import ResultCache
 from repro.workloads.base import Workload
 from repro.workloads.compile import (
     CompiledStream,
@@ -179,6 +181,30 @@ class TestStreamCache:
         a = compiled_stream_for(_tomcatv(), tmp_path)
         b = compiled_stream_for(_tomcatv(n_steps=3), tmp_path)
         assert a.fingerprint != b.fingerprint
+
+    @staticmethod
+    def _assert_same_stream(got, want):
+        assert got.fingerprint == want.fingerprint
+        assert got.n_refs == want.n_refs
+        assert len(got.blocks) == len(want.blocks)
+        for a, b in zip(got.blocks, want.blocks):
+            assert np.array_equal(a.addrs, b.addrs)
+
+    def test_truncated_entry_is_recompiled_and_replaced(self, tmp_path):
+        want = compiled_stream_for(_tomcatv(), tmp_path)
+        entry = ResultCache(tmp_path / "streams").path_for(want.fingerprint)
+        whole = entry.read_bytes()
+        entry.write_bytes(whole[: len(whole) // 2])
+        self._assert_same_stream(compiled_stream_for(_tomcatv(), tmp_path), want)
+        self._assert_same_stream(pickle.loads(entry.read_bytes()), want)
+
+    def test_entry_of_another_fingerprint_is_recompiled_and_replaced(self, tmp_path):
+        want = compiled_stream_for(_tomcatv(), None)
+        other = compiled_stream_for(_tomcatv(n_steps=3), None)
+        store = ResultCache(tmp_path / "streams")
+        store.put(want.fingerprint, other)
+        self._assert_same_stream(compiled_stream_for(_tomcatv(), tmp_path), want)
+        self._assert_same_stream(store.get(want.fingerprint), want)
 
     def test_none_cache_dir_compiles_without_caching(self):
         stream = compiled_stream_for(_tomcatv(), None)
