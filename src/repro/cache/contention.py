@@ -52,15 +52,21 @@ class ContentionLedger:
             self.contention_by_tag.get(tag, 0) + contention_misses
         )
 
+    def merge(self, other: "ContentionLedger") -> "ContentionLedger":
+        """Add ``other``'s totals into this ledger (returns ``self``);
+        per-tag dicts are merged key-wise, as in ``CacheStats.merge``."""
+        self.self_misses += other.self_misses
+        self.contention_misses += other.contention_misses
+        self.rescued_misses += other.rescued_misses
+        for tag, n in other.self_by_tag.items():
+            self.self_by_tag[tag] = self.self_by_tag.get(tag, 0) + n
+        for tag, n in other.contention_by_tag.items():
+            self.contention_by_tag[tag] = self.contention_by_tag.get(tag, 0) + n
+        return self
+
     def snapshot(self) -> "ContentionLedger":
         """An independent copy of the current totals."""
-        return ContentionLedger(
-            self_misses=self.self_misses,
-            contention_misses=self.contention_misses,
-            rescued_misses=self.rescued_misses,
-            self_by_tag=dict(self.self_by_tag),
-            contention_by_tag=dict(self.contention_by_tag),
-        )
+        return ContentionLedger().merge(self)
 
 
 @dataclass

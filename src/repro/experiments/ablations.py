@@ -15,11 +15,13 @@
 
 from __future__ import annotations
 
-from repro.cache import CacheConfig, ReplacementPolicy
+import dataclasses
+
+from repro.cache import ReplacementPolicy
+from repro.core.sampling import PeriodSchedule, SamplingProfiler
 from repro.core.search import NWaySearch
 from repro.experiments.records import ExperimentReport
-from repro.experiments.runner import ExperimentRunner
-from repro.sim.engine import Simulator
+from repro.experiments.runner import ExperimentRunner, sampling_period_of, search_interval_of
 from repro.util.format import Table, render_table
 from repro.util.units import fmt_pct
 from repro.workloads.synthetic import SyntheticStreams
@@ -44,7 +46,7 @@ def run_alignment_ablation(runner: ExperimentRunner) -> ExperimentReport:
         )
 
     base = runner.simulator.run(fresh())
-    interval = max(10_000, base.stats.app_cycles // runner.config.intervals_per_run)
+    interval = search_interval_of(base)
     aligned = runner.simulator.run(
         fresh(), tool=NWaySearch(n=4, interval_cycles=interval, align_splits=True)
     )
@@ -132,14 +134,11 @@ def run_phase_heuristic_ablation(runner: ExperimentRunner) -> ExperimentReport:
 
 def run_multiplex_ablation(runner: ExperimentRunner, app: str = "su2cor") -> ExperimentReport:
     base = runner.baseline(app)
-    interval = max(10_000, base.stats.app_cycles // runner.config.intervals_per_run)
+    interval = search_interval_of(base)
     real = runner.with_search(app, n=10, interval_cycles=interval)
 
-    mux_sim = Simulator(
-        cache_config=runner.config.cache,
-        n_region_counters=10,
-        multiplexed_counters=True,
-        seed=runner.config.seed,
+    mux_sim = dataclasses.replace(runner.sim_spec, multiplexed_counters=True).build(
+        runner.config.seed
     )
     mux = mux_sim.run(
         runner.make(app), tool=NWaySearch(n=10, interval_cycles=interval)
@@ -182,17 +181,10 @@ def run_policy_ablation(runner: ExperimentRunner, app: str = "tomcatv") -> Exper
     )
     values: dict = {}
     for policy in (ReplacementPolicy.LRU, ReplacementPolicy.FIFO, ReplacementPolicy.RANDOM):
-        cache = CacheConfig(
-            size=runner.config.cache.size,
-            line_size=runner.config.cache.line_size,
-            assoc=runner.config.cache.assoc,
-            policy=policy,
-        )
-        sim = Simulator(cache_config=cache, seed=runner.config.seed)
+        cache = dataclasses.replace(runner.config.cache, policy=policy)
+        sim = dataclasses.replace(runner.sim_spec, cache=cache).build(runner.config.seed)
         base = sim.run(runner.make(app))
-        period = max(16, base.stats.app_misses // runner.config.target_samples)
-        from repro.core.sampling import SamplingProfiler, PeriodSchedule
-
+        period = sampling_period_of(base)
         run = sim.run(
             runner.make(app),
             tool=SamplingProfiler(

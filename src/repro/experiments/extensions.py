@@ -13,12 +13,13 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 from repro.cache import CacheConfig
 from repro.core.report import max_share_error
 from repro.core.sampling import PeriodSchedule, SamplingProfiler
 from repro.experiments.records import ExperimentReport
-from repro.experiments.runner import ExperimentRunner
-from repro.sim.engine import Simulator
+from repro.experiments.runner import ExperimentRunner, sampling_period_of
 from repro.util.format import Table, render_table
 from repro.util.units import fmt_pct
 
@@ -111,11 +112,9 @@ def run_hierarchy(
     single = runner.baseline(app)
     cfg = runner.config.cache
     l1 = CacheConfig(size=cfg.size // 16, line_size=cfg.line_size, assoc=2)
-    hier_sim = Simulator(
-        cache_config=cfg, l1_config=l1, seed=runner.config.seed
-    )
+    hier_sim = dataclasses.replace(runner.sim_spec, l1=l1).build(runner.config.seed)
     hier_base = hier_sim.run(runner.make(app))
-    period = max(16, hier_base.stats.app_misses // runner.config.target_samples)
+    period = sampling_period_of(hier_base)
     sampled = hier_sim.run(
         runner.make(app),
         tool=SamplingProfiler(
@@ -161,13 +160,11 @@ def run_prefetch_ablation(
 ) -> ExperimentReport:
     """Rankings with a next-line prefetcher absorbing sequential misses."""
     plain = runner.baseline(app)
-    pf_sim = Simulator(
-        cache_config=runner.config.cache,
-        prefetch_next_line=True,
-        seed=runner.config.seed,
+    pf_sim = dataclasses.replace(runner.sim_spec, prefetch_next_line=True).build(
+        runner.config.seed
     )
     pf_base = pf_sim.run(runner.make(app))
-    period = max(16, pf_base.stats.app_misses // runner.config.target_samples)
+    period = sampling_period_of(pf_base)
     sampled = pf_sim.run(
         runner.make(app),
         tool=SamplingProfiler(

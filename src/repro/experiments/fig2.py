@@ -12,7 +12,7 @@ from __future__ import annotations
 from repro.core.greedy_search import GreedySearch
 from repro.core.search import NWaySearch
 from repro.experiments.records import ExperimentReport
-from repro.experiments.runner import ExperimentRunner
+from repro.experiments.runner import ExperimentRunner, search_interval_of
 from repro.util.format import Table, render_table
 from repro.util.units import fmt_pct
 from repro.workloads.synthetic import FigureTwoLayout
@@ -27,7 +27,7 @@ def run_fig2(
         return FigureTwoLayout(seed=runner.config.seed, rounds=rounds)
 
     base = runner.simulator.run(fresh())
-    interval = max(10_000, base.stats.app_cycles // runner.config.intervals_per_run)
+    interval = search_interval_of(base)
 
     pq_run = runner.simulator.run(
         fresh(), tool=NWaySearch(n=n, interval_cycles=interval)

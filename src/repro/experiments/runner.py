@@ -5,12 +5,13 @@ DESIGN.md section 2), so measurement parameters that the paper quotes as
 absolute values are derived here from each application's *baseline* run:
 
 * the Table-1 sampling period ("1 in 50,000") becomes
-  ``total_misses // target_samples`` so the sample count stays in the
-  paper's regime;
-* the search interval becomes ``total_cycles // intervals_per_run`` so a
-  run holds a paper-like number of search iterations;
+  ``total_misses // TARGET_SAMPLES`` (:func:`sampling_period_of`) so the
+  sample count stays in the paper's regime;
+* the search interval becomes ``total_cycles // INTERVALS_PER_RUN``
+  (:func:`search_interval_of`) so a run holds a paper-like number of
+  search iterations;
 * Figure 3/4 sampling periods stay *absolute* (1k, 10k, 100k, 1M-miss
-  equivalents scaled by one global factor), because overhead per cycle
+  equivalents scaled by ``PERIOD_SCALE``), because overhead per cycle
   depends only on the miss rate and the period, not on run length.
 
 Every run the runner performs is described by a declarative
@@ -50,6 +51,26 @@ from repro.workloads.registry import make_workload, workload_names
 #: the MRC sweep's exact verification cells).
 WARMABLE_EXPERIMENTS = ("table1", "table2", "fig3", "fig4", "fig5", "mrc")
 
+#: Target number of samples for accuracy experiments (Table 1).
+TARGET_SAMPLES = 2000
+#: Search iterations a run should be able to hold.
+INTERVALS_PER_RUN = 45
+#: Scale factor applied to the paper's absolute sampling periods in the
+#: overhead experiments (1k/10k/100k/1M misses); 1.0 keeps the paper's
+#: literal values.
+PERIOD_SCALE = 1.0
+
+
+def sampling_period_of(baseline: RunResult) -> int:
+    """The '1 in 50,000 equivalent' sampling period of an application
+    whose uninstrumented run is ``baseline``."""
+    return max(16, baseline.stats.app_misses // TARGET_SAMPLES)
+
+
+def search_interval_of(baseline: RunResult) -> int:
+    """The search timer interval sized to ``baseline``'s run length."""
+    return max(10_000, baseline.stats.app_cycles // INTERVALS_PER_RUN)
+
 
 @dataclass
 class RunnerConfig:
@@ -57,14 +78,6 @@ class RunnerConfig:
 
     cache: CacheConfig = None
     seed: int = 1234
-    #: Target number of samples for accuracy experiments (Table 1).
-    target_samples: int = 2000
-    #: Search iterations a run should be able to hold.
-    intervals_per_run: int = 45
-    #: Scale factor applied to the paper's absolute sampling periods in
-    #: the overhead experiments (1k/10k/100k/1M misses). 1.0 keeps the
-    #: paper's literal values.
-    period_scale: float = 1.0
     #: Workload size knobs forwarded to each factory (quick mode shrinks).
     workload_kwargs: dict = None
     #: Cache kernel backend override ("reference"/"array"/"auto"); None
@@ -288,18 +301,16 @@ class ExperimentRunner:
 
     def scaled_sampling_period(self, app: str) -> int:
         """The '1 in 50,000 equivalent' period for accuracy experiments."""
-        misses = self.baseline(app).stats.app_misses
-        return max(16, misses // self.config.target_samples)
+        return sampling_period_of(self.baseline(app))
 
     def search_interval(self, app: str) -> int:
         """Search timer interval sized to the application's run length."""
-        cycles = self.baseline(app).stats.app_cycles
-        return max(10_000, cycles // self.config.intervals_per_run)
+        return search_interval_of(self.baseline(app))
 
     def overhead_periods(self) -> list[int]:
         """The paper's Figure 3/4 sampling periods (possibly rescaled)."""
         return [
-            max(16, int(p * self.config.period_scale))
+            max(16, int(p * PERIOD_SCALE))
             for p in (1_000, 10_000, 100_000, 1_000_000)
         ]
 

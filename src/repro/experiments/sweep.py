@@ -10,11 +10,11 @@ and need not).
 
 from __future__ import annotations
 
-from repro.cache import CacheConfig
+import dataclasses
+
 from repro.core.sampling import PeriodSchedule, SamplingProfiler
 from repro.experiments.records import ExperimentReport
-from repro.experiments.runner import ExperimentRunner
-from repro.sim.engine import Simulator
+from repro.experiments.runner import ExperimentRunner, sampling_period_of
 from repro.util.format import Table, render_table
 from repro.util.units import fmt_bytes, fmt_pct
 
@@ -35,12 +35,10 @@ def run_geometry_sweep(
     reference_top: str | None = None
     for size in sizes:
         for assoc in assocs:
-            cfg = CacheConfig(size=size, assoc=assoc)
-            sim = Simulator(cache_config=cfg, seed=runner.config.seed)
+            cfg = dataclasses.replace(runner.config.cache, size=size, assoc=assoc)
+            sim = dataclasses.replace(runner.sim_spec, cache=cfg).build(runner.config.seed)
             base = sim.run(runner.make(app))
-            period = max(
-                16, base.stats.app_misses // runner.config.target_samples
-            )
+            period = sampling_period_of(base)
             sampled = sim.run(
                 runner.make(app),
                 tool=SamplingProfiler(

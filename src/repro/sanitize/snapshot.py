@@ -7,9 +7,8 @@ is trusted (returned to the caller / written to disk), the canary
 roundtrips it once more and compares what must survive, for the
 snapshot's format stamp and round-robin pointer and for *every* core:
 
-* the resume cursor (workload name, block cursor, cycle carry, refs
-  budget, chunk size), the interleaver weight and the per-object
-  contention tallies;
+* the resume cursor (workload name, block cursor, refs budget, chunk
+  size), the interleaver weight and the per-object contention tallies;
 * the run statistics scalars;
 * the cache: ledger equality (``CacheStats`` compares field-wise) and
   state cardinalities (resident and dirty line counts).
@@ -33,7 +32,6 @@ _PLAIN_FIELDS = (
     "workload_name",
     "blocks_fetched",
     "block_pos",
-    "cycle_carry",
     "refs_left",
     "chunk_size",
     "ratio",

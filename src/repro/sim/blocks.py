@@ -9,7 +9,8 @@ objects ever exist.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,42 +49,29 @@ class ReferenceBlock:
     def __len__(self) -> int:
         return len(self.addrs)
 
+    def ref_cycles(self, k: int) -> int:
+        """Cycles of the block's first ``k`` references: ``int(k × cycles_per_ref)``.
+
+        The one cost rule of the clock. Charging references *p* to *p+n*
+        as ``ref_cycles(p + n) - ref_cycles(p)`` telescopes, so a block
+        costs the same however its references are cut into chunks.
+        """
+        return int(k * self.cycles_per_ref)
+
     @property
     def total_cycles(self) -> int:
-        return int(len(self.addrs) * self.cycles_per_ref) + self.extra_cycles
+        """The whole block: every reference plus its ``extra_cycles``."""
+        return self.ref_cycles(len(self.addrs)) + self.extra_cycles
 
-    def cycles_for(self, n_refs: int) -> int:
-        """Cycles consumed by the first ``n_refs`` references."""
-        cycles = int(n_refs * self.cycles_per_ref)
-        if n_refs >= len(self.addrs):
-            cycles += self.extra_cycles
-        return cycles
-
-    def refs_within_cycles(self, budget: int) -> int:
-        """Max whole references executable within ``budget`` cycles (>=1)."""
-        return max(1, int(budget / self.cycles_per_ref))
-
-
-def concat_blocks(blocks: list[ReferenceBlock]) -> ReferenceBlock:
-    """Concatenate blocks (same cycles_per_ref) into one larger block."""
-    if not blocks:
-        raise WorkloadError("cannot concatenate zero blocks")
-    cpr = blocks[0].cycles_per_ref
-    if any(abs(b.cycles_per_ref - cpr) > 1e-12 for b in blocks):
-        raise WorkloadError("cannot concatenate blocks with differing cycle costs")
-    addrs = np.concatenate([b.addrs for b in blocks])
-    writes = None
-    if any(b.writes is not None for b in blocks):
-        writes = np.concatenate(
-            [
-                b.writes if b.writes is not None else np.zeros(len(b), dtype=bool)
-                for b in blocks
-            ]
-        )
-    return ReferenceBlock(
-        addrs=addrs,
-        cycles_per_ref=cpr,
-        writes=writes,
-        label=blocks[0].label,
-        extra_cycles=sum(b.extra_cycles for b in blocks),
-    )
+    def refs_within_cycles(self, budget: int, pos: int = 0) -> int:
+        """References to run from ``pos`` towards a deadline ``budget``
+        cycles away: ``int(budget / cycles_per_ref)``, at least 1, and
+        never past the reference whose cost reaches the deadline (a rate
+        below one cycle per reference would otherwise run past it)."""
+        target = self.ref_cycles(pos) + budget
+        end = math.ceil(target / self.cycles_per_ref)
+        while self.ref_cycles(end) < target:
+            end += 1
+        while self.ref_cycles(end - 1) >= target:
+            end -= 1
+        return min(max(1, int(budget / self.cycles_per_ref)), end - pos)

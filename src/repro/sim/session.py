@@ -19,6 +19,13 @@ continued later — on another process or after a crash — with
 run. :class:`~repro.sim.engine.Simulator` is now a thin driver over this
 class, and :class:`MultiCoreSession` is a scheduler over a list of them.
 
+Virtual time: a block's first *k* references cost ``int(k ×
+cycles_per_ref)`` cycles (:meth:`~repro.sim.blocks.ReferenceBlock.ref_cycles`)
+and a chunk is charged the difference of two such costs, so the clock
+depends on the stream cursor alone: it is the same at every
+``chunk_size``, and the fused paths, which cut a compiled stream with
+:meth:`SimulationSession._fused_batches`, charge each block's total once.
+
 Multi-tool arbitration (§2.2's counter-resource trade-offs):
 
 * the single *overflow counter* is exclusively owned — the first tool to
@@ -80,8 +87,15 @@ if TYPE_CHECKING:  # pragma: no cover
 #: :class:`CoreState` per core (one for a single-core session) beside the
 #: round-robin pointer ``next_core``; the v4 top-level copy of the next
 #: core is gone, and a core that finished its stream records its final
-#: cursor. Older checkpoints are refused by version.
-SNAPSHOT_VERSION = 5
+#: cursor.
+#: v6: the per-core fractional cycle carry is gone; a block's cycles are a
+#: function of the cursor (:meth:`~repro.sim.blocks.ReferenceBlock.ref_cycles`).
+#: Older checkpoints are refused by version.
+SNAPSHOT_VERSION = 6
+
+#: Target number of references per ``access`` call on the solo fused path
+#: when every cache level is chunk invariant (LRU/FIFO throughout).
+FUSE_TARGET_REFS = 1 << 17
 
 
 # ------------------------------------------------------------- dispatcher
@@ -179,7 +193,6 @@ class CoreState:
     workload_name: str
     blocks_fetched: int
     block_pos: int | None
-    cycle_carry: float
     refs_left: int | None
     chunk_size: int
     cost_model: CostModel
@@ -422,7 +435,6 @@ class SimulationSession:
         self._block: "ReferenceBlock | None" = None
         self._blocks_fetched = 0
         self._pos = 0
-        self._cycle_carry = 0.0
         self._refs_left = max_refs if max_refs is not None else None
         self._exhausted = False
         self._finalized = False
@@ -680,86 +692,72 @@ class SimulationSession:
         return True
 
     def _run_fused(self) -> None:
-        """Drive the whole compiled stream through the cache in bulk.
-
-        Bit-identity with the stepped path needs two things replayed
-        exactly: RANDOM-policy chunk boundaries (see
-        :meth:`_chunk_invariant_kernels`) and the float cycle-carry
-        sequence, which does not telescope across chunk splits for
-        non-dyadic ``cycles_per_ref`` — so the carries are recomputed
-        per generator-path chunk in a cheap scalar loop even though the
-        cache saw the references in bulk.
-        """
-        compiled = self._compiled
-        assert compiled is not None
-        invariant = self._chunk_invariant_kernels()
-        chunk_size = self.chunk_size
-        for addrs, writes, pieces in compiled.fused_groups(invariant):
-            if invariant:
-                self._fused_access(addrs, writes)
-            else:
-                for lo in range(0, len(addrs), chunk_size):
-                    hi = lo + chunk_size
-                    self._fused_access(
-                        addrs[lo:hi],
-                        writes[lo:hi] if writes is not None else None,
-                    )
-            for n_refs, cycles_per_ref, extra_cycles in pieces:
-                for lo in range(0, n_refs, chunk_size):
-                    self._advance(min(chunk_size, n_refs - lo), cycles_per_ref)
-                self.clock.advance_app(extra_cycles)
-        self._close_stream()
-
-    def _fused_access(
-        self, addrs: np.ndarray, writes: np.ndarray | None
-    ) -> None:
-        result = self.cache.access(addrs, miss_budget=None, tag="app", writes=writes)
-        self._account(len(addrs), addrs[result.miss_mask])
+        """Drive the whole compiled stream through the cache in bulk: one
+        ``access`` call per :meth:`_fused_batches` batch. Batches hold
+        :data:`FUSE_TARGET_REFS` references when every level is chunk
+        invariant, and one chunk each otherwise, so each call is the
+        chunk :meth:`step` would make (see :meth:`_chunk_invariant_kernels`)."""
+        target = FUSE_TARGET_REFS if self._chunk_invariant_kernels() else 1
+        for batch in self._fused_batches(target):
+            addrs, writes = batch[0]
+            if len(batch) > 1:
+                addrs = np.concatenate([chunk for chunk, _ in batch])
+                if writes is not None:
+                    writes = np.concatenate([mask for _, mask in batch])
+            result = self.cache.access(addrs, miss_budget=None, tag="app", writes=writes)
+            self._account(len(addrs), addrs[result.miss_mask])
 
     def _fused_pieces(self) -> Iterator[tuple[int, np.ndarray, bool]]:
         """The compiled stream cut into :meth:`step`'s chunks, for a fused
         multi-core run: per chunk, its length, its references that pass
         the private levels, and whether it closes a private-level batch.
-        The private levels run ahead over whole chunks, one call per batch
-        of at least ``chunk_size`` references (fewer only at the stream's
-        end). Each chunk's cycles are charged as it joins a batch, and
-        each block's fixed cycles once the block is used up."""
+        The private levels run ahead, one ``Pipeline._filter`` call per
+        :meth:`_fused_batches` batch of at least ``chunk_size`` references
+        (fewer only where a write-mask flip or the stream's end closes
+        it), split back into its chunks."""
+        for batch in self._fused_batches(self.chunk_size):
+            chunks = [addrs for addrs, _ in batch]
+            post, index = self.cache._filter(np.concatenate(chunks))
+            ends = np.cumsum([len(chunk) for chunk in chunks])
+            cuts = ends if index is None else np.searchsorted(index, ends)
+            lo = 0
+            for i, hi in enumerate(cuts.tolist()):
+                yield len(chunks[i]), post[lo:hi], i == len(chunks) - 1
+                lo = hi
+
+    def _fused_batches(
+        self, target: int
+    ) -> Iterator[list[tuple[np.ndarray, np.ndarray | None]]]:
+        """The compiled stream cut into :meth:`step`'s ``(addrs, writes)``
+        chunks and gathered into batches for a fused run, the one cutter
+        both fused paths use. A batch closes once it holds ``target``
+        references, and before a block whose write-mask presence differs
+        from its own, so read-only chunks stay on the kernels' fast path.
+        Each block's :attr:`~repro.sim.blocks.ReferenceBlock.total_cycles`
+        is charged once, when the cutter leaves the block, and the cursor
+        closes once the last block is cut."""
         assert self._compiled is not None
-        batch: list[np.ndarray] = []
+        batch: list[tuple[np.ndarray, np.ndarray | None]] = []
         size = 0
         for block in self._compiled.blocks:
+            writes = block.writes
+            if batch and (batch[0][1] is None) != (writes is None):
+                yield batch
+                batch, size = [], 0
             for lo in range(0, len(block), self.chunk_size):
-                batch.append(block.addrs[lo : lo + self.chunk_size])
-                size += len(batch[-1])
-                self._advance(len(batch[-1]), block.cycles_per_ref)
-                if size >= self.chunk_size:
-                    yield from self._filter_batch(batch)
+                chunk = slice(lo, lo + self.chunk_size)
+                batch.append((block.addrs[chunk], None if writes is None else writes[chunk]))
+                size += len(batch[-1][0])
+                if size >= target:
+                    yield batch
                     batch, size = [], 0
-            self.clock.advance_app(block.extra_cycles)
-        self._close_stream()
-        yield from self._filter_batch(batch)
-
-    def _filter_batch(
-        self, batch: list[np.ndarray]
-    ) -> Iterator[tuple[int, np.ndarray, bool]]:
-        """One private-level call (``Pipeline._filter``) over ``batch``'s
-        chunks, split back into their pieces (see :meth:`_fused_pieces`)."""
-        if not batch:
-            return
-        post, index = self.cache._filter(np.concatenate(batch))
-        ends = np.cumsum([len(chunk) for chunk in batch])
-        cuts = ends if index is None else np.searchsorted(index, ends)
-        lo = 0
-        for i, hi in enumerate(cuts.tolist()):
-            yield len(batch[i]), post[lo:hi], i == len(batch) - 1
-            lo = hi
-
-    def _close_stream(self) -> None:
-        """Leave the cursor where stepping a fused stream to its end would."""
-        assert self._compiled is not None
+            self.clock.advance_app(block.total_cycles)
+        # Leave the cursor where stepping the stream to its end would.
         self._blocks_fetched = len(self._compiled.blocks)
         self._blocks = iter(())
         self._exhausted = True
+        if batch:
+            yield batch
 
     # ---------------------------------------------------- chunk accounting
 
@@ -771,16 +769,6 @@ class SimulationSession:
             self.ground_truth.observe(miss_addrs, cycle=self.clock.now)
         self.stats.app_refs += n_refs
         self.stats.app_misses += len(miss_addrs)
-
-    def _advance(self, n_refs: int, cycles_per_ref: float) -> None:
-        """Charge one chunk's ``n_refs`` references to the clock, carrying
-        the fractional cycle into the next chunk (the carry does not
-        telescope across chunk splits, so every path replays it per
-        :meth:`step` chunk)."""
-        exact = n_refs * cycles_per_ref + self._cycle_carry
-        cycles = int(exact)
-        self._cycle_carry = exact - cycles
-        self.clock.advance_app(cycles)
 
     # ---------------------------------------------------------- chunk body
 
@@ -803,7 +791,7 @@ class SimulationSession:
             if until_deadline <= 0:
                 self._deliver(InterruptKind.TIMER)
                 return
-            cap = min(cap, block.refs_within_cycles(until_deadline))
+            cap = min(cap, block.refs_within_cycles(until_deadline, self._pos))
         miss_budget = self.monitor.misses_until_overflow() if tool_active else None
         if miss_budget is not None and miss_budget <= 0:
             # Overflow already pending (e.g. from handler pollution).
@@ -826,7 +814,9 @@ class SimulationSession:
         consumed = result.consumed
         miss_addrs = chunk[:consumed][result.miss_mask]
         self._account(consumed, miss_addrs)
-        self._advance(consumed, block.cycles_per_ref)
+        self.clock.advance_app(
+            block.ref_cycles(self._pos + consumed) - block.ref_cycles(self._pos)
+        )
         self._pos += consumed
         if self._refs_left is not None:
             self._refs_left -= consumed
@@ -1066,7 +1056,6 @@ class SimulationSession:
             "workload_name": self.workload.name,
             "blocks_fetched": self._blocks_fetched,
             "block_pos": self._pos if self._block is not None else None,
-            "cycle_carry": self._cycle_carry,
             "refs_left": self._refs_left,
             "chunk_size": self.chunk_size,
             "cost_model": self.cost_model,
@@ -1148,7 +1137,6 @@ class SimulationSession:
             core_id=state.core_id,
         )
         session.dispatcher = state.dispatcher
-        session._cycle_carry = state.cycle_carry
         session._refs_left = state.refs_left
         session.ratio = state.ratio
         session.self_by_object = state.self_by_object
@@ -1508,31 +1496,16 @@ class MultiCoreSession:
         self._finalized = True
         results = [core.finalize() for core in self.cores]
 
-        merged_ledger = ContentionLedger()
-        merged_self: dict[str, int] = {}
-        merged_contention: dict[str, int] = {}
-        unattr_self = 0
-        unattr_contention = 0
+        merged = ContentionProfile(ledger=ContentionLedger())
         for result in results:
             profile = result.contention
-            ledger = profile.ledger
-            merged_ledger.self_misses += ledger.self_misses
-            merged_ledger.contention_misses += ledger.contention_misses
-            merged_ledger.rescued_misses += ledger.rescued_misses
-            for tag, n in ledger.self_by_tag.items():
-                merged_ledger.self_by_tag[tag] = (
-                    merged_ledger.self_by_tag.get(tag, 0) + n
-                )
-            for tag, n in ledger.contention_by_tag.items():
-                merged_ledger.contention_by_tag[tag] = (
-                    merged_ledger.contention_by_tag.get(tag, 0) + n
-                )
+            merged.ledger.merge(profile.ledger)
             # Names are namespace-qualified per core, so merges never
             # collide across cores.
-            merged_self.update(profile.self_by_object)
-            merged_contention.update(profile.contention_by_object)
-            unattr_self += profile.unattributed_self
-            unattr_contention += profile.unattributed_contention
+            merged.self_by_object.update(profile.self_by_object)
+            merged.contention_by_object.update(profile.contention_by_object)
+            merged.unattributed_self += profile.unattributed_self
+            merged.unattributed_contention += profile.unattributed_contention
 
         stats = RunStats(
             app_refs=sum(r.stats.app_refs for r in results),
@@ -1557,13 +1530,7 @@ class MultiCoreSession:
             stats=stats,
             cache_stats=self.shared_level.stats.snapshot(),
             component_stats=component_stats,
-            contention=ContentionProfile(
-                ledger=merged_ledger,
-                self_by_object=merged_self,
-                contention_by_object=merged_contention,
-                unattributed_self=unattr_self,
-                unattributed_contention=unattr_contention,
-            ),
+            contention=merged,
             cores=results,
         )
 

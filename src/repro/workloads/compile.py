@@ -16,7 +16,7 @@ from (see DESIGN.md section 9).
 Compiled streams are *bit-identity preserving* by construction: they are
 the very arrays the generator produced, and the session replays the
 generator path's chunk boundaries wherever those boundaries are
-observable (RANDOM-policy eviction pools, cycle-carry rounding).
+observable (RANDOM-policy eviction pools).
 
 Two safety rules keep compilation honest:
 
@@ -55,11 +55,6 @@ if TYPE_CHECKING:  # pragma: no cover
 #: Bumped whenever the CompiledStream layout changes, so stale cache
 #: entries are recompiled rather than misread.
 STREAM_FORMAT_VERSION = 1
-
-#: Target number of references per fused group when block boundaries are
-#: not observable (LRU/FIFO at every cache level). Groups never split a
-#: block; they close at the first block that reaches the target.
-FUSE_TARGET_REFS = 1 << 17
 
 
 class StreamCompileError(WorkloadError):
@@ -139,56 +134,6 @@ class CompiledStream:
 
     def iter_blocks(self) -> Iterator[ReferenceBlock]:
         return iter(self.blocks)
-
-    def fused_groups(
-        self, chunk_invariant: bool
-    ) -> Iterator[tuple[np.ndarray, np.ndarray | None, list[tuple[int, float, int]]]]:
-        """Yield ``(addrs, writes, pieces)`` groups for the bulk path.
-
-        ``pieces`` lists ``(n_refs, cycles_per_ref, extra_cycles)`` per
-        source block so the session can replay the generator path's
-        cycle-carry arithmetic exactly. When ``chunk_invariant`` is False
-        (a RANDOM-replacement level exists, whose eviction-pool refills
-        observe chunk lengths) every block is its own group and the
-        caller must additionally slice it in ``chunk_size`` pieces; when
-        True, consecutive blocks fuse up to :data:`FUSE_TARGET_REFS`
-        references — groups split where write-mask presence flips so
-        read-only blocks stay on the kernels' fast path.
-        """
-        if not chunk_invariant:
-            for b in self.blocks:
-                yield b.addrs, b.writes, [_piece(b)]
-            return
-        group: list[ReferenceBlock] = []
-        size = 0
-        for b in self.blocks:
-            if group and (
-                size >= FUSE_TARGET_REFS
-                or (group[0].writes is None) != (b.writes is None)
-            ):
-                yield _emit(group)
-                group, size = [], 0
-            group.append(b)
-            size += len(b)
-        if group:
-            yield _emit(group)
-
-
-def _piece(block: ReferenceBlock) -> tuple[int, float, int]:
-    return (len(block.addrs), block.cycles_per_ref, block.extra_cycles)
-
-
-def _emit(
-    group: list[ReferenceBlock],
-) -> tuple[np.ndarray, np.ndarray | None, list[tuple[int, float, int]]]:
-    if len(group) == 1:
-        b = group[0]
-        return b.addrs, b.writes, [_piece(b)]
-    addrs = np.concatenate([b.addrs for b in group])
-    writes = None
-    if group[0].writes is not None:
-        writes = np.concatenate([b.writes for b in group])
-    return addrs, writes, [_piece(b) for b in group]
 
 
 def _frozen_copy(arr: np.ndarray | None, dtype) -> np.ndarray | None:

@@ -1,7 +1,10 @@
 """Tests for the extension experiment drivers (quick-mode shapes)."""
 
+from unittest import mock
+
 import pytest
 
+from repro.experiments.ablations import run_policy_ablation
 from repro.experiments.extensions import (
     run_continuation,
     run_hierarchy,
@@ -9,6 +12,9 @@ from repro.experiments.extensions import (
     run_skid_ablation,
 )
 from repro.experiments.mrc import run_mrc
+from repro.experiments.runner import ExperimentRunner, RunnerConfig
+from repro.experiments.sweep import run_geometry_sweep
+from repro.sim.engine import Simulator
 
 
 class TestSkidDriver:
@@ -80,3 +86,34 @@ class TestSweepDriver:
                 assert vals["top_sampled"] == pytest.approx(
                     vals["top_share"], abs=0.05
                 )
+
+
+class TestDriversKeepRunnerSettings:
+    """A driver that builds its own simulators varies only its own field:
+    the runner's mechanism stack, backend and compiled-stream setting
+    reach every cell it runs."""
+
+    @pytest.mark.parametrize("driver", ["policy", "sweep"])
+    def test_every_simulator_carries_the_runner_settings(self, driver):
+        runner = ExperimentRunner(
+            RunnerConfig(
+                seed=99,
+                mechanisms="vc",
+                backend="auto",
+                compile_streams=True,
+                workload_kwargs={"input_lines": 2000},
+            )
+        )
+        with mock.patch.object(
+            Simulator, "start_session", autospec=True, side_effect=Simulator.start_session
+        ) as spy:
+            if driver == "policy":
+                run_policy_ablation(runner, app="compress")
+            else:
+                run_geometry_sweep(runner, app="compress", sizes=[64 * 1024], assocs=[4])
+        sims = [call.args[0] for call in spy.call_args_list]
+        assert sims
+        for sim in sims:
+            assert sim.cache_config.mechanisms == runner.config.cache.mechanisms
+            assert sim.cache_config.backend == "auto"
+            assert sim.compile_streams

@@ -1,10 +1,10 @@
-"""Tests for reference blocks and trace concatenation."""
+"""Tests for reference blocks and their cycle cost."""
 
 import numpy as np
 import pytest
 
 from repro.errors import WorkloadError
-from repro.sim.blocks import ReferenceBlock, concat_blocks
+from repro.sim.blocks import ReferenceBlock
 
 
 class TestReferenceBlock:
@@ -15,9 +15,24 @@ class TestReferenceBlock:
 
     def test_cycles(self):
         block = ReferenceBlock(addrs=np.arange(10), cycles_per_ref=4.0, extra_cycles=7)
-        assert block.total_cycles == 47
-        assert block.cycles_for(5) == 20
-        assert block.cycles_for(10) == 47  # extra charged at completion
+        assert block.total_cycles == 47  # extra charged at completion
+        assert block.ref_cycles(5) == 20
+        assert block.ref_cycles(10) == 40
+
+    def test_fractional_cycles_are_cumulative(self):
+        """The first k references cost int(k * rate), so a chunk's charge
+        ref_cycles(p + n) - ref_cycles(p) does not depend on how the block
+        was cut: at 2.5 cycles/ref, 1, 2 and 3 references cost 2, 5, 7."""
+        block = ReferenceBlock(addrs=np.arange(3), cycles_per_ref=2.5, extra_cycles=1)
+        assert [block.ref_cycles(k) for k in range(4)] == [0, 2, 5, 7]
+        assert block.total_cycles == 8
+
+    def test_deadline_cap_stops_at_the_reference_that_reaches_it(self):
+        # At 0.1 cycles/ref, references 5..9 cost nothing and the 10th
+        # brings the clock one cycle on; int(1 / 0.1) alone would run 10.
+        block = ReferenceBlock(addrs=np.arange(20), cycles_per_ref=0.1)
+        assert block.refs_within_cycles(1, pos=5) == 5
+        assert block.refs_within_cycles(1) == 10
 
     def test_refs_within_cycles(self):
         block = ReferenceBlock(addrs=np.arange(10), cycles_per_ref=4.0)
@@ -35,28 +50,3 @@ class TestReferenceBlock:
     def test_writes_mask_kept(self):
         block = ReferenceBlock(addrs=np.arange(2), writes=np.array([True, False]))
         assert block.writes.dtype == bool
-
-
-class TestConcat:
-    def test_concat(self):
-        a = ReferenceBlock(addrs=np.arange(3), cycles_per_ref=2.0, extra_cycles=1)
-        b = ReferenceBlock(addrs=np.arange(3, 6), cycles_per_ref=2.0, extra_cycles=2)
-        merged = concat_blocks([a, b])
-        assert merged.addrs.tolist() == [0, 1, 2, 3, 4, 5]
-        assert merged.extra_cycles == 3
-
-    def test_concat_mixed_writes(self):
-        a = ReferenceBlock(addrs=np.arange(2), writes=np.array([True, True]))
-        b = ReferenceBlock(addrs=np.arange(2))
-        merged = concat_blocks([a, b])
-        assert merged.writes.tolist() == [True, True, False, False]
-
-    def test_concat_empty_rejected(self):
-        with pytest.raises(WorkloadError):
-            concat_blocks([])
-
-    def test_concat_mismatched_cpr_rejected(self):
-        a = ReferenceBlock(addrs=np.arange(2), cycles_per_ref=2.0)
-        b = ReferenceBlock(addrs=np.arange(2), cycles_per_ref=3.0)
-        with pytest.raises(WorkloadError):
-            concat_blocks([a, b])

@@ -7,16 +7,22 @@ placement must be identical for any chunk size. A violation here means
 interrupt points or cache state leak across chunk boundaries.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.cache import CacheConfig
+from repro.cache.policies import ReplacementPolicy
 from repro.core.sampling import SamplingProfiler
 from repro.core.search import NWaySearch
 from repro.sim.engine import Simulator
+from repro.sim.session import SimulationSession
+from repro.workloads.compile import compile_workload
 from repro.workloads.synthetic import SyntheticStreams
+from tests.sim.test_multicore_session import CompiledTrace, contents
 
 
 def make_wl(seed=0):
@@ -65,6 +71,91 @@ class TestChunkInvariance:
         reference = run_with_chunk(1 << 15)
         other = run_with_chunk(chunk)
         assert other.stats.app_misses == reference.stats.app_misses
+
+
+def fractional_run(rate, tool, chunk_size, interval=300):
+    """Everything a run at ``rate`` cycles/ref stamps with its clock: the
+    app and instrumentation cycles, every interrupt record and the
+    measured profile."""
+    workload = SyntheticStreams(
+        {"A": (256 * 1024, 55), "B": (256 * 1024, 45)},
+        rounds=4,
+        lines_per_round=3000,
+        interleaved=True,
+        seed=1,
+        cycles_per_ref=rate,
+    )
+    tools = {
+        "none": None,
+        "sampling": SamplingProfiler(period=101),
+        "search": NWaySearch(n=4, interval_cycles=interval),
+    }
+    sim = Simulator(CacheConfig(size=32 * 1024, assoc=4), seed=1, chunk_size=chunk_size)
+    result = sim.run(workload, tool=tools[tool])
+    return (
+        result.stats.app_cycles,
+        result.stats.instr_cycles,
+        result.stats.interrupts.records,
+        None if result.measured is None else result.measured.as_dict(),
+    )
+
+
+class TestFractionalRateClock:
+    """A block's first k references cost ``int(k × cycles_per_ref)``
+    cycles, so at a fractional rate the clock, and every interrupt it
+    stamps, is the same at every chunk size, down to one reference per
+    chunk. At rates below one cycle per reference a chunk must also stop
+    at the reference whose cost reaches a timer deadline."""
+
+    @settings(max_examples=12, deadline=None)
+    @given(
+        rate=st.sampled_from([4.3, 0.1, 2.82]),
+        tool=st.sampled_from(["none", "sampling", "search"]),
+        chunk=st.integers(1, 1 << 15),
+        interval=st.integers(20, 2000),
+    )
+    @example(rate=4.3, tool="none", chunk=1, interval=300)
+    @example(rate=2.82, tool="search", chunk=999, interval=57)
+    @example(rate=0.1, tool="sampling", chunk=1, interval=300)
+    @example(rate=0.1, tool="search", chunk=64, interval=57)
+    def test_clock_is_chunk_invariant(self, rate, tool, chunk, interval):
+        assert fractional_run(rate, tool, chunk, interval) == fractional_run(
+            rate, tool, 1 << 15, interval
+        )
+
+    @pytest.mark.parametrize("policy", [ReplacementPolicy.LRU, ReplacementPolicy.RANDOM])
+    def test_solo_fused_run_equals_stepping(self, policy):
+        """The solo fused path over a compiled trace with non-dyadic
+        rates, block overheads and an empty block leaves the run exactly
+        as stepping it does (RANDOM: one call per stepped chunk)."""
+        stream = compile_workload(CompiledTrace(seed=7))
+        sim = Simulator(
+            CacheConfig(size=16 * 1024, assoc=4, policy=policy), seed=7, chunk_size=700
+        )
+
+        def outcome(session):
+            result = session.finalize()
+            return (
+                result.stats,
+                result.cache_stats,
+                result.actual.table(),
+                session.clock.now,
+                contents(session.cache),
+            )
+
+        fused = sim.start_session(CompiledTrace(seed=7), compiled=stream)
+        with mock.patch.object(
+            SimulationSession,
+            "_run_fused",
+            autospec=True,
+            side_effect=SimulationSession._run_fused,
+        ) as spy:
+            fused.run()
+        assert spy.call_count == 1
+        stepped = sim.start_session(CompiledTrace(seed=7), compiled=stream)
+        while stepped.step():
+            pass
+        assert outcome(fused) == outcome(stepped)
 
 
 class TestCacheModelAgnostic:

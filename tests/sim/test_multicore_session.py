@@ -228,7 +228,7 @@ class TestSnapshotRestore:
         for _ in range(8):
             session.step()
         snap = session.snapshot()
-        assert snap.version == 5
+        assert snap.version == 6
         assert len(snap.cores) == 2
         with pytest.raises(SimulationError, match="multi-core"):
             SimulationSession.restore(snap, quick_workload("compress", quick_runner))
@@ -347,7 +347,7 @@ class CompiledTrace(TraceWorkload):
     blocks are a function of ``n_blocks`` and ``seed``, which the stream
     fingerprint reads back, rather than of a file. It opens with an
     empty block and mixes non-dyadic cycle costs and block overheads,
-    so the fused path's cursor and cycle carry are exercised."""
+    so the fused path's cursor and block costs are exercised."""
 
     compiled_stream_safe = True
 
@@ -434,8 +434,8 @@ def stepped(session) -> MultiCoreSession:
 def outcome(session) -> list:
     """Everything a finished run reports or keeps: the aggregate's and
     every core's stats, cache and component ledgers, contention ledger
-    and per-object maps, plus each core's monitor, clock, cycle carry,
-    shadow ledger and final cache contents."""
+    and per-object maps, plus each core's monitor, clock, shadow ledger
+    and final cache contents."""
     result = session.finalize()
     out = []
     for unit in [result, *result.cores]:
@@ -462,7 +462,6 @@ def outcome(session) -> list:
                 monitor.last_miss_addr,
                 monitor.recent_miss_addrs,
                 core.clock.now,
-                core._cycle_carry,
                 core.port.shadow.stats,
                 [
                     contents(level)

@@ -52,8 +52,9 @@ def fingerprint(result):
 
 def test_snapshot_version_bumped_for_draw_accounting():
     # v3 added RNG draw accounting; v4 added the multi-core `cores` entry;
-    # v5 made `cores` the one shape for every session.
-    assert SNAPSHOT_VERSION == 5
+    # v5 made `cores` the one shape for every session; v6 dropped the
+    # cycle carry.
+    assert SNAPSHOT_VERSION == 6
 
 
 def test_decorated_restore_bit_identical():
